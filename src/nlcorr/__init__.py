@@ -7,7 +7,7 @@ Subpackages by topic:
 - ``hermite``: normalized Hermite polynomials, Gauss-Hermite quadrature, and
   the pairwise-Gaussian covariance calculus;
 - ``maxcorr``: exact extreme nonlinear correlations of finite-support joints
-  and the sample-based power-iteration estimator;
+  and of the empirical joint of binned samples;
 - ``groups``: nested-sum and group-system correlation spectra, Hoeffding
   decomposition, and the sin-transform construction;
 - ``stationary``: cosine spectral densities with closed forms for the
@@ -49,7 +49,6 @@ from .hermite import (
     pairwise_gaussian_cov,
 )
 from .maxcorr import (
-    AceOptions,
     DiscreteJoint,
     ExtremeResult,
     ace_estimate,

@@ -116,20 +116,18 @@ def _latent_factor(sigma: np.ndarray) -> np.ndarray:
         return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
-def sample_design(design: CopulaDesign) -> np.ndarray:
-    """Draw the n x p design table; identical seeds give identical tables."""
-    rng = np.random.default_rng(design.seed)
-    factor = _latent_factor(design.sigma_z)
-    z = rng.standard_normal((design.n, design.sigma_z.shape[0])) @ factor.T
-    cols = [resolve_transform(t)(z[:, j]) for j, t in enumerate(design.transforms)]
-    return np.stack(cols, axis=1)
-
-
 def sample_latent(design: CopulaDesign) -> np.ndarray:
     """The latent Gaussian table behind ``sample_design`` (same seed, same draws)."""
     rng = np.random.default_rng(design.seed)
     factor = _latent_factor(design.sigma_z)
     return rng.standard_normal((design.n, design.sigma_z.shape[0])) @ factor.T
+
+
+def sample_design(design: CopulaDesign) -> np.ndarray:
+    """Draw the n x p design table; identical seeds give identical tables."""
+    z = sample_latent(design)
+    cols = [resolve_transform(t)(z[:, j]) for j, t in enumerate(design.transforms)]
+    return np.stack(cols, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +232,15 @@ class PhiStarReport:
         }
 
 
+def _block_penalties(alpha, gram, slices) -> np.ndarray:
+    """Pen_j = ||alpha_j||_G, the empirical L2 norm of each block's component."""
+    return np.sqrt(np.clip([alpha[sl] @ gram[sl, sl] @ alpha[sl] for sl in slices], 0.0, None))
+
+
 def _cone_ratio(alpha, gram, slices, query) -> tuple[float, bool]:
     """(ratio, in_cone) for stacked coefficients alpha; 0/0 counts as out."""
     num_all = float(alpha @ gram @ alpha)
-    pens = np.array(
-        [math.sqrt(max(float(alpha[sl] @ gram[sl, sl] @ alpha[sl]), 0.0)) for sl in slices]
-    )
+    pens = _block_penalties(alpha, gram, slices)
     active = np.zeros(len(slices), dtype=bool)
     active[list(query.active)] = True
     s_act, s_inact = float(pens[active].sum()), float(pens[~active].sum())
@@ -266,7 +267,6 @@ def empirical_phi_star(
     n_dirs: int = 200,
     seed: int = 0,
     n_boot: int = 64,
-    threads: int = 1,
 ) -> PhiStarReport:
     """Randomized upper bound on the cone-restricted invertibility ratio.
 
@@ -325,12 +325,7 @@ def empirical_phi_star(
         if not inactive:
             return alpha
         out = alpha.copy()
-        pens = np.array(
-            [
-                math.sqrt(max(float(out[sl] @ gram[sl, sl] @ out[sl]), 0.0))
-                for sl in slices
-            ]
-        )
+        pens = _block_penalties(out, gram, slices)
         s_act = float(pens[list(query.active)].sum())
         s_inact = float(pens[inactive].sum())
         if s_act <= 0.0:
@@ -341,8 +336,7 @@ def empirical_phi_star(
                 out[slices[j]] *= shrink
         return out
 
-    # candidate directions are drawn in one deterministic pass; evaluation is
-    # pure, so sharding it across threads cannot change the reduced minimum
+    # candidate directions are drawn in one deterministic pass before scoring
     rng = np.random.default_rng(seed)
     pool: list[tuple[np.ndarray, bool]] = [(eigen_dir, False)]
     eigen_cone = cone_project(eigen_dir)
@@ -365,37 +359,23 @@ def empirical_phi_star(
             return None
         return ratio, alpha, in_cone
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool_exec:
-            scored = list(pool_exec.map(score, pool))
-    else:
-        scored = [score(item) for item in pool]
+    scored = [score(item) for item in pool]
     evaluated = [s for s in scored if s is not None]
     if not evaluated:
         raise DegenerateInputError("no admissible cone direction was found")
     evaluated.sort(key=lambda triple: triple[0])
     phi_hat, argmin, in_cone = evaluated[0]
 
-    # bootstrap the ratio at the frozen argmin direction
+    # bootstrap the ratio at the frozen argmin direction; in the coordinates of
+    # the block components centered_j @ argmin_j that is the all-ones direction
     values = np.stack([centered[:, sl] @ argmin[sl] for sl in slices], axis=1)
+    ones, unit = np.ones(p), [slice(j, j + 1) for j in range(p)]
     boots = np.empty(n_boot)
     for b in range(n_boot):
-        rows = rng.integers(0, n, size=n)
-        sub = values[rows]
+        sub = values[rng.integers(0, n, size=n)]
         sub = sub - sub.mean(axis=0)
-        cov = sub.T @ sub / n
-        num = float(np.sum(cov))
-        pens = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-        if query.q == 2:
-            denom = float(np.sum(pens ** 2))
-        else:
-            denom = float(pens[list(query.active)].sum()) ** 2
-        boots[b] = (
-            len(query.active) ** (2 - query.q) * num / denom if denom > 0 else np.nan
-        )
-    se = float(np.nanstd(boots, ddof=1))
+        boots[b] = _cone_ratio(ones, sub.T @ sub / n, unit, query)[0]
+    se = float(np.nanstd(np.where(np.isfinite(boots), boots, np.nan), ddof=1))
 
     return PhiStarReport(
         phi_hat=float(phi_hat),

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -32,13 +31,6 @@ def _resolve_weights(spec: str, p: int) -> np.ndarray:
     return spectra.load_matrix(spec)
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("NLCORR_THREADS")
-    return max(1, int(env)) if env else 1
-
-
 def _parse_int_list(text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",") if x.strip()]
@@ -52,9 +44,12 @@ def _load_json(path) -> dict:
         raise ValidationError(f"input file not found: {p}")
     try:
         with p.open() as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed JSON in {p}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{p} must hold a JSON object, not a {type(obj).__name__}")
+    return obj
 
 
 def _matrix_from_obj(obj) -> np.ndarray:
@@ -97,9 +92,9 @@ def _cmd_eig(args):
 def _cmd_schur_check(args):
     sigma = spectra.load_matrix(args.input)
     w = _resolve_weights(args.weights, sigma.shape[0])
-    cert = spectra.schur_power_contraction_check(sigma, w, args.power, tol=args.tol or 1e-8)
+    cert = spectra.schur_power_contraction_check(sigma, w, args.power, tol=args.tol)
     paths = [args.input] + ([args.weights] if args.weights not in ("ones", "offdiag") else [])
-    return cert.as_dict(), {"containment": args.tol or 1e-8}, paths
+    return cert.as_dict(), {"containment": args.tol}, paths
 
 
 def _cmd_hermite(args):
@@ -125,14 +120,9 @@ def _cmd_oracle(args):
 def _cmd_ace(args):
     data = np.loadtxt(args.input, delimiter=",", skiprows=1, ndmin=2)
     w = _resolve_weights(args.weights, data.shape[1])
-    opts = maxcorr.AceOptions(
-        max_iter=args.max_iter, tol=args.tol or 1e-12, seed=args.seed, bins=args.bins
-    )
-    res = maxcorr.ace_estimate(data, w, opts)
-    results = res.as_dict()
-    results["iterations"] = list(res.iterations)
+    res = maxcorr.ace_estimate(data, w, bins=args.bins)
     paths = [args.input] + ([args.weights] if args.weights not in ("ones", "offdiag") else [])
-    return results, {"rayleigh": opts.tol}, paths
+    return res.as_dict(), {"ratio": 1e-9}, paths
 
 
 def _cmd_nested(args):
@@ -300,9 +290,7 @@ def _cmd_copula_check(args):
     basis = additive.BasisSpec(family=args.basis, size=args.basis_size)
     active = tuple(_parse_int_list(args.active)) if args.active else (0,)
     query = additive.CompatibilityQuery(active=active, xi0=args.xi0, q=args.q)
-    rep = additive.empirical_phi_star(
-        data, basis, query, n_dirs=args.ndirs, seed=args.seed, threads=_threads(args)
-    )
+    rep = additive.empirical_phi_star(data, basis, query, n_dirs=args.ndirs, seed=args.seed)
     bound = additive.copula_bound(sigma)
     results = rep.as_dict()
     results["kappa0"] = bound.kappa0
@@ -354,9 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, *, weights=False, curve=False):
         p.add_argument("--out", help="write the JSON report here as well as stdout")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker bound; NLCORR_THREADS is the fallback")
         if weights:
             p.add_argument("--weights", default="ones",
                            help="weight matrix: path, 'ones', or 'offdiag'")
@@ -370,6 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schur-check", help="Schur-power contraction certificate")
     p.add_argument("--input", required=True, help="correlation matrix file")
     p.add_argument("--power", type=int, required=True)
+    p.add_argument("--tol", type=float, default=spectra.CONTRACTION_TOL,
+                   help="slack of the spectral containment")
     common(p, weights=True)
 
     p = sub.add_parser("hermite", help="Hermite expansion of a catalog function")
@@ -386,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ace", help="sample-based extreme correlation estimate")
     p.add_argument("--input", required=True, help="CSV with a header row")
     p.add_argument("--bins", type=int, default=16)
-    p.add_argument("--max-iter", type=int, default=2000)
     common(p, weights=True)
 
     p = sub.add_parser("nested", help="nested-sum correlation matrix extremes")

@@ -21,8 +21,8 @@ The classical two-variable maximal correlation is the second-largest singular
 value of D_1^{-1/2} P_12 D_2^{-1/2} (the largest is the trivial value 1).
 
 A sample-based estimator discretizes columns to their empirical supports
-(quantile bins for continuous data), builds the empirical joint, and runs
-shifted power iteration on H.
+(quantile bins for continuous data), builds the empirical joint, and solves
+the same eigenproblem for it.
 """
 
 from __future__ import annotations
@@ -221,6 +221,9 @@ class ExtremeResult:
     under the marginals, with the stacked whitened coordinates normalized to
     unit length; ``variances`` holds the per-variable second moments E f_j^2.
     ``zero_blocks`` flags variables whose optimizer component vanishes.
+    ``residuals`` holds ||H x - lambda x|| of the (max, min) eigenpairs, which
+    bounds the error of each returned value. The eigensolve is direct, so
+    ``converged`` is always true and ``iterations`` always (0, 0).
     """
 
     rho_max: float
@@ -278,6 +281,8 @@ def exact_extremes(joint: DiscreteJoint, w) -> ExtremeResult:
         )
     h, margs, inv_sqrt, bases, offsets = _assemble_blocks(joint, ww)
     eigvals, eigvecs = np.linalg.eigh(h)
+    vecs = eigvecs[:, [-1, 0]]
+    res_max, res_min = np.linalg.norm(h @ vecs - vecs * eigvals[[-1, 0]], axis=0)
     f_min, var_min, zero_min = _unstack(eigvecs[:, 0], margs, inv_sqrt, bases, offsets)
     f_max, var_max, zero_max = _unstack(eigvecs[:, -1], margs, inv_sqrt, bases, offsets)
     return ExtremeResult(
@@ -289,6 +294,7 @@ def exact_extremes(joint: DiscreteJoint, w) -> ExtremeResult:
         variances_min=var_min,
         zero_blocks_max=zero_max,
         zero_blocks_min=zero_min,
+        residuals=(float(res_max), float(res_min)),
     )
 
 
@@ -354,92 +360,15 @@ def quantile_bin_column(col: np.ndarray, bins: int) -> np.ndarray:
     return np.searchsorted(edges, col, side="right").astype(float)
 
 
-def _power_extreme(h: np.ndarray, shift: float, sign: float, x0: np.ndarray,
-                   max_iter: int, tol: float):
-    """Extreme eigenpair of h via shifted power iteration.
-
-    ``sign=+1`` targets the largest eigenvalue (iterates h + shift I),
-    ``sign=-1`` the smallest (iterates shift I - h). Stops when successive
-    Rayleigh quotients differ by less than ``tol``; the returned residual
-    norm ||h x - mu x|| bounds the eigenvalue error of the last iterate.
-    """
-    b = sign * h + shift * np.eye(h.shape[0])
-    x = x0 / np.linalg.norm(x0)
-    hx = h @ x
-    mu = float(x @ hx)
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        y = sign * hx + shift * x  # b @ x without re-multiplying
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            converged = True
-            break
-        x = y / norm
-        hx = h @ x
-        mu_new = float(x @ hx)
-        if abs(mu_new - mu) < tol:
-            mu = mu_new
-            converged = True
-            break
-        mu = mu_new
-    residual = float(np.linalg.norm(hx - mu * x))
-    return mu, x, it, converged, residual
-
-
-@dataclass(frozen=True)
-class AceOptions:
-    max_iter: int = 2000
-    tol: float = 1e-12
-    seed: int = 0
-    bins: int = 16
-
-
-def ace_estimate(samples, w, opts: AceOptions | None = None) -> ExtremeResult:
-    """Alternating-projection (power iteration) estimate from raw samples.
+def ace_estimate(samples, w, *, bins: int = 16) -> ExtremeResult:
+    """Extreme nonlinear correlations of the empirical joint of raw samples.
 
     Columns are reduced to their empirical supports (quantile bins beyond
-    ``opts.bins`` distinct values), the empirical joint is assembled, and the
-    extreme Rayleigh values of the whitened block matrix are found by shifted
-    power iteration. Deterministic for a fixed seed. Non-convergence within
-    ``max_iter`` is reported through the ``converged`` flag of the result,
-    which then carries the last iterate.
+    ``bins`` distinct values), and the exact extremes of the resulting
+    empirical joint law are returned.
     """
-    opts = opts or AceOptions()
     data = np.asarray(samples, dtype=float)
     if data.ndim != 2 or data.shape[0] < 2:
         raise ValidationError("samples must be an n x p table with n >= 2")
-    cols = [quantile_bin_column(data[:, j], opts.bins) for j in range(data.shape[1])]
-    for j, c in enumerate(cols):
-        if np.unique(c).size < 2:
-            raise DegenerateInputError(f"column {j} has fewer than 2 distinct values")
-    joint = DiscreteJoint.from_samples(cols)
-    ww = as_weight_matrix(w)
-    if ww.shape[0] != joint.nvars:
-        raise DimensionMismatchError("weight matrix dimension differs from sample width")
-    h, margs, inv_sqrt, bases, offsets = _assemble_blocks(joint, ww)
-    shift = float(np.max(np.sum(np.abs(h), axis=1)))  # infinity norm bounds the spectrum
-    rng = np.random.default_rng(opts.seed)
-    x_hi = rng.standard_normal(h.shape[0])
-    x_lo = rng.standard_normal(h.shape[0])
-    hi, v_hi, it_hi, ok_hi, r_hi = _power_extreme(
-        h, shift, +1.0, x_hi, opts.max_iter, opts.tol
-    )
-    lo, v_lo, it_lo, ok_lo, r_lo = _power_extreme(
-        h, shift, -1.0, x_lo, opts.max_iter, opts.tol
-    )
-    f_max, var_max, zero_max = _unstack(v_hi, margs, inv_sqrt, bases, offsets)
-    f_min, var_min, zero_min = _unstack(v_lo, margs, inv_sqrt, bases, offsets)
-    return ExtremeResult(
-        rho_max=hi,
-        rho_min=lo,
-        f_max=f_max,
-        f_min=f_min,
-        variances_max=var_max,
-        variances_min=var_min,
-        zero_blocks_max=zero_max,
-        zero_blocks_min=zero_min,
-        converged=bool(ok_hi and ok_lo),
-        iterations=(it_hi, it_lo),
-        residuals=(r_hi, r_lo),
-    )
+    cols = [quantile_bin_column(data[:, j], bins) for j in range(data.shape[1])]
+    return exact_extremes(DiscreteJoint.from_samples(cols), w)

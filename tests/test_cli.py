@@ -66,6 +66,11 @@ class TestSubcommands:
         )
         assert code == 0
         assert report["results"]["holds"] is True
+        code, report = run_json(
+            capsys, ["schur-check", "--input", str(path), "--power", "3", "--tol", "1e-6"]
+        )
+        assert code == 0
+        assert report["tolerances"]["containment"] == 1e-6
 
     def test_hermite(self, capsys):
         code, report = run_json(
@@ -105,6 +110,7 @@ class TestSubcommands:
         )
         assert code == 0
         assert report["results"]["converged"] is True
+        assert report["tolerances"] == {"ratio": 1e-9}
 
     def test_groups(self, capsys, tmp_path):
         path = tmp_path / "groups.json"
@@ -241,23 +247,22 @@ class TestSubcommands:
         assert report["results"]["verdict"] == "holds"
 
 
-class TestThreads:
-    def test_env_var_fallback(self, monkeypatch):
-        ns = cli.build_parser().parse_args(["nested", "--m", "1,2"])
-        monkeypatch.setenv("NLCORR_THREADS", "3")
-        assert cli._threads(ns) == 3
-        monkeypatch.delenv("NLCORR_THREADS")
-        assert cli._threads(ns) == 1
-
-    def test_flag_wins_over_env(self, monkeypatch):
-        ns = cli.build_parser().parse_args(["nested", "--m", "1,2", "--threads", "2"])
-        monkeypatch.setenv("NLCORR_THREADS", "7")
-        assert cli._threads(ns) == 2
-
-
 class TestErrorPaths:
     def test_unknown_subcommand_usage_error(self, capsys):
         assert cli.run(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("flag", [["--threads", "2"], ["--tol", "1e-3"]])
+    def test_removed_flags_usage_error(self, capsys, flag):
+        assert cli.run(["nested", "--m", "1,2", *flag]) == 2
+
+    @pytest.mark.parametrize("subcommand", ["stationary", "groups"])
+    def test_non_object_json_input(self, capsys, tmp_path, subcommand):
+        path = tmp_path / "input.json"
+        path.write_text("[1, 2, 3]")
+        code, payload = run_json(capsys, [subcommand, "--input", str(path)])
+        assert code == 1
+        assert payload["error"]["type"] == "ValidationError"
+        assert str(path) in payload["error"]["message"]
 
     def test_missing_input_domain_error(self, capsys, tmp_path):
         code, payload = run_json(capsys, ["eig", "--input", str(tmp_path / "no.csv")])
