@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import eigh as generalized_eigh
-from scipy.special import ndtr
 
 from .errors import DegenerateInputError, DimensionMismatchError, ValidationError
 from .spectra import as_corr_matrix
@@ -40,9 +38,16 @@ from .spectra import as_corr_matrix
 # copula designs
 # ---------------------------------------------------------------------------
 
+def _probit_uniform(z):
+    # scipy.special loads here, on first use, to keep it off the import path
+    from scipy.special import ndtr
+
+    return ndtr(z)
+
+
 TRANSFORM_CATALOG: dict[str, Callable] = {
     "identity": lambda z: z,
-    "probit_uniform": lambda z: ndtr(z),
+    "probit_uniform": _probit_uniform,
     "exp": lambda z: np.exp(z),
 }
 
@@ -315,6 +320,8 @@ def empirical_phi_star(
     for j in range(p):
         sl = slice(red_offsets[j], red_offsets[j + 1])
         block_r[sl, sl] = gram_r[sl, sl]
+    from scipy.linalg import eigh as generalized_eigh
+
     vecs = generalized_eigh(gram_r, block_r)[1]
     eigen_dir = lift @ vecs[:, 0]
 

@@ -142,7 +142,10 @@ def _cmd_nested(args):
 
 def _cmd_groups(args):
     obj = _load_json(args.input)
-    system = groups.GroupSystem.from_lists(obj["groups"])
+    lists = obj.get("groups")
+    if not isinstance(lists, list) or not all(isinstance(g, list) for g in lists):
+        raise ValidationError("groups must be a list of label lists")
+    system = groups.GroupSystem.from_lists(lists)
     w = _resolve_weights(args.weights, system.nvars)
     symm = groups.extreme_symm(system, w)
     check = groups.assumption_c_check(system)
@@ -164,7 +167,15 @@ def _cmd_hoeffding(args):
     obj = _load_json(args.input)
     law = _law_from_obj(obj["law"])
     m = int(obj["m"])
-    f0 = np.asarray(obj["f0"], dtype=float).reshape((law.size,) * m)
+    if m < 1:
+        raise ValidationError(f"m must be a positive number of arguments, got {m}")
+    f0 = np.asarray(obj["f0"], dtype=float)
+    if f0.size != law.size ** m:
+        raise ValidationError(
+            f"f0 needs {law.size ** m} values (law size {law.size} to the power "
+            f"m={m}), got {f0.size}"
+        )
+    f0 = f0.reshape((law.size,) * m)
     dec = groups.hoeffding_decompose(f0, law)
     recon_err = float(np.max(np.abs(dec.reconstruct() - dec.centered)))
     mass = dec.variance_components()
@@ -223,10 +234,10 @@ def _kernel_from_args(args) -> tuple[stationary.StationaryKernel, list]:
             decay = stationary.DecayBound(
                 C=float(obj["decay"]["C"]), r=float(obj["decay"]["r"])
             )
-        return (
-            stationary.table_kernel(domain, obj["table"]["values"], decay),
-            [args.input],
-        )
+        table = obj.get("table")
+        if not isinstance(table, dict) or "values" not in table:
+            raise ValidationError("a tabulated kernel needs table.values")
+        return stationary.table_kernel(domain, table["values"], decay), [args.input]
     if args.name == "ar1":
         if args.beta is None:
             raise ValidationError("ar1 needs --beta")

@@ -620,10 +620,14 @@ def group_sums_joint(system: GroupSystem, law: DiscreteLaw, *, budget: int = ATO
         cols = [pos[lab] for lab in sorted(g)]
         sums[:, j] = yvals[:, cols].sum(axis=1)
     supports, atom_idx = [], []
-    for j in range(system.nvars):
+    for j, g in enumerate(system.groups):
         vals, inv = np.unique(sums[:, j], return_inverse=True)
-        supports.append(vals.tolist())
-        atom_idx.append(inv)
+        # the same sum reached in another order may differ in its last bits;
+        # two roundings of a sum of n terms differ by at most n eps sum|y_i|
+        tol = len(g) ** 2 * np.finfo(float).eps * float(np.abs(law.values).max())
+        first = np.concatenate(([True], np.diff(vals) > tol))
+        supports.append(vals[first].tolist())
+        atom_idx.append((np.cumsum(first) - 1)[inv])
     return DiscreteJoint.from_atoms(supports, np.stack(atom_idx, axis=1), weight)
 
 

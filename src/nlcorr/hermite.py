@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     CoefficientOverflowError,
@@ -87,7 +86,7 @@ def gauss_hermite_rule(n: int) -> QuadratureRule:
     if n == 1:
         return QuadratureRule(nodes=np.zeros(1), weights=np.ones(1))
     off = np.sqrt(np.arange(1, n, dtype=float))
-    nodes, vecs = eigh_tridiagonal(np.zeros(n), off)
+    nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     weights = vecs[0, :] ** 2
     return QuadratureRule(nodes=nodes, weights=weights)
 

@@ -298,33 +298,36 @@ def exact_extremes(joint: DiscreteJoint, w) -> ExtremeResult:
     )
 
 
-def rayleigh_quotient(joint: DiscreteJoint, w, funcs) -> float:
+def rayleigh_quotient(joint: DiscreteJoint, w, funcs) -> float | np.ndarray:
     """The weighted-correlation ratio for given per-variable function tables.
 
     Functions are centered under their marginals before evaluation, so any
-    finite tables are admissible; the total variance must be positive.
+    finite tables are admissible; the total variance must be positive. Tables
+    of shape (B, s_j) sharing a leading batch axis give an array of B ratios,
+    one per row; tables of shape (s_j,) give a single float.
     """
     ww = as_weight_matrix(w)
     p = joint.nvars
-    fs = []
+    fs = [np.asarray(funcs[j], dtype=float) for j in range(p)]
+    batch = fs[0].shape[:-1]
+    margs = [joint.marginal(j) for j in range(p)]
     for j in range(p):
-        f = np.asarray(funcs[j], dtype=float)
-        if f.shape != (joint.sizes[j],):
+        if len(batch) > 1 or fs[j].shape != batch + (joint.sizes[j],):
             raise ValidationError(f"function {j} must be tabulated on support {j}")
-        m = joint.marginal(j)
-        fs.append(f - float(m @ f))
+        fs[j] = fs[j] - (fs[j] @ margs[j])[..., None]
     num = 0.0
     den = 0.0
     for j in range(p):
-        m = joint.marginal(j)
-        den += float(m @ fs[j] ** 2)
-        num += ww[j, j] * float(m @ fs[j] ** 2)
+        var = fs[j] ** 2 @ margs[j]
+        den = den + var
+        num = num + ww[j, j] * var
         for k in range(j + 1, p):
-            cross = float(fs[j] @ joint.bivariate(j, k) @ fs[k])
-            num += 2.0 * ww[j, k] * cross
-    if den <= 0.0:
+            cross = np.sum((fs[j] @ joint.bivariate(j, k)) * fs[k], axis=-1)
+            num = num + 2.0 * ww[j, k] * cross
+    if np.any(den <= 0.0):
         raise DegenerateInputError("all candidate functions are constants")
-    return num / den
+    ratio = num / den
+    return ratio if batch else float(ratio)
 
 
 def pair_max_corr(joint: DiscreteJoint) -> float:

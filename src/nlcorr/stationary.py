@@ -26,9 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import toeplitz
-from scipy.optimize import minimize_scalar
 
 from .errors import ValidationError
 
@@ -178,6 +175,8 @@ def spectral_density(kernel: StationaryKernel, omega) -> np.ndarray | float:
         t = np.arange(1, kernel.radius + 1, dtype=float)
         out = kernel.table[0] + 2.0 * np.cos(np.outer(w, t)) @ kernel.table[1:]
     else:
+        from scipy.integrate import quad
+
         vals = np.empty_like(w)
         upper = float(kernel.radius)
         for i, wi in enumerate(w):
@@ -228,6 +227,8 @@ class SpectralExtremes:
 
 
 def _refine(fun: Callable, lo: float, hi: float) -> tuple[float, float]:
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(fun, bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-12})
     return float(res.x), float(res.fun)
@@ -343,6 +344,8 @@ def circulant_cross_check(kernel: StationaryKernel, n: int) -> CrossCheckReport:
         raise ValidationError("finite sections require a lattice kernel")
     if n < 1:
         raise ValidationError("section size must be positive")
+    from scipy.linalg import toeplitz
+
     col = kernel.value(np.arange(n))
     spec = np.linalg.eigvalsh(toeplitz(col))
     extremes = spectral_extremes(kernel)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlcorr
 from nlcorr import DiscreteLaw, nested_sums_joint
 from nlcorr import cli
 from nlcorr.report import canonical_json
@@ -287,3 +292,75 @@ class TestErrorPaths:
         code, payload = run_json(capsys, ["copula-check", "--input", str(path)])
         assert code == 1
         assert "sigma_z" in payload["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "subcommand, payload, field",
+        [
+            ("groups", {"groups": 5}, "groups"),
+            ("hoeffding", {"law": "rademacher", "m": 3, "f0": [1.0, 2.0, 3.0]}, "f0 needs 8"),
+            ("hoeffding", {"law": "rademacher", "m": -1, "f0": [1.0]}, "m must be"),
+            ("stationary", {"name": "table", "domain": "lattice"}, "table.values"),
+        ],
+    )
+    def test_malformed_field_named(self, capsys, tmp_path, subcommand, payload, field):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        code, out = run_json(capsys, [subcommand, "--input", str(path)])
+        assert code == 1
+        assert out["error"]["type"] == "ValidationError"
+        assert field in out["error"]["message"]
+
+
+# Runs in a fresh interpreter: prints the loaded scipy modules after importing
+# the package and after each trivial subcommand, then exercises the two paths
+# that still load scipy on demand.
+_IMPORT_BUDGET_SCRIPT = """
+import io, json, sys
+from contextlib import redirect_stdout
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import nlcorr
+from nlcorr import cli
+stages = {"import nlcorr": scipy_modules()}
+for argv in (["nested", "--m", "1,2"], ["eig", "--input", sys.argv[1]],
+             ["hermite", "--fn", "sin:1.0", "--nodes", "64"],
+             ["stationary", "--name", "ar1", "--beta", "0.5"]):
+    with redirect_stdout(io.StringIO()):
+        code = cli.run(argv)
+    stages[argv[0]] = scipy_modules() if code == 0 else ["exit %d" % code]
+line = nlcorr.spectral_density(nlcorr.table_kernel("line", [1.0, 0.5, 0.0]), [0.0])
+out = io.StringIO()
+with redirect_stdout(out):
+    code = cli.run(["sandwich", "--input", sys.argv[2]])
+print(json.dumps({"stages": stages, "line_density": float(line[0]),
+                  "sandwich": [code, json.loads(out.getvalue())["results"]["verdict"]],
+                  "loaded": scipy_modules()}))
+"""
+
+
+def test_trivial_subcommands_load_no_scipy(tmp_path):
+    matrix = tmp_path / "m.csv"
+    matrix.write_text("1.0,0.5\n0.5,1.0\n")
+    sandwich = tmp_path / "sw.json"
+    sandwich.write_text(json.dumps(
+        {"sigma_z": [[1.0, 0.5], [0.5, 1.0]], "transforms": ["probit_uniform"] * 2,
+         "f": ["zero"] * 2, "f_hat": ["hermite2"] * 2, "n_mc": 20_000, "seed": 6}
+    ))
+    src = str(Path(nlcorr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_BUDGET_SCRIPT, str(matrix), str(sandwich)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["stages"] == {
+        "import nlcorr": [], "nested": [], "eig": [], "hermite": [], "stationary": []
+    }
+    # 2 * integral of the hat 1 - t/2 over [0, 2]
+    assert result["line_density"] == pytest.approx(2.0, abs=1e-10)
+    assert result["sandwich"] == [0, "holds"]
+    assert {"scipy.integrate", "scipy.special"} <= set(result["loaded"])

@@ -164,6 +164,38 @@ class TestExtremeSymm:
         assert res.rho_max == pytest.approx(hi, abs=1e-9)
         assert res.rho_min == pytest.approx(lo, abs=1e-9)
 
+    def test_non_lattice_sums_are_not_split_by_rounding(self):
+        # 1 + 1 + sqrt 2 and sqrt 2 + 1 + 1 round to different floats; the
+        # sums a + b sqrt 2 with a + b <= m give (m+1)(m+2)/2 support points
+        from nlcorr import exact_extremes, nested_sums_joint
+
+        law = DiscreteLaw(
+            values=np.array([0.0, 1.0, math.sqrt(2.0)]), probs=np.array([0.2, 0.5, 0.3])
+        )
+        joint = nested_sums_joint((2, 5, 8), law)
+        assert joint.sizes == (6, 21, 45)
+        res = exact_extremes(joint, np.ones((3, 3)))
+        lo, hi = spectra.extreme_eigs(nested_sum_matrix((2, 5, 8)))
+        assert res.rho_max == pytest.approx(hi, abs=1e-9)
+        assert res.rho_min == pytest.approx(lo, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "law, sizes, atoms",
+        [
+            (RADEMACHER, (3, 5, 8), 3 * 3 * 4),
+            (DiscreteLaw(values=np.array([-1.0, 0.0, 1.0]), probs=np.array([0.3, 0.3, 0.4])),
+             (5, 9, 15), 5 * 5 * 7),
+        ],
+    )
+    def test_lattice_sums_keep_every_support_point(self, law, sizes, atoms):
+        # atoms are the joint values of the independent increments over
+        # lengths 2, 2 and 3
+        from nlcorr import nested_sums_joint
+
+        joint = nested_sums_joint((2, 4, 7), law)
+        assert joint.sizes == sizes
+        assert joint.atom_idx.shape[0] == atoms
+
 
 class TestShadowSystem:
     def test_nested_shortcut(self):

@@ -89,6 +89,17 @@ class TestQuadrature:
             got = rule.integrate(lambda x, k=k: x ** (2 * k))
             assert got == pytest.approx(moment, rel=1e-13)
 
+    @pytest.mark.parametrize("n", [2, 8, 64, 200])
+    def test_matches_numpy_hermegauss(self, n):
+        # tail weights below ~1e-20 carry no relative accuracy in either
+        # Golub-Welsch implementation, so weights are compared absolutely
+        from numpy.polynomial.hermite_e import hermegauss
+
+        nodes, weights = hermegauss(n)
+        rule = gauss_hermite_rule(n)
+        np.testing.assert_allclose(rule.nodes, nodes, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rule.weights, weights / weights.sum(), rtol=0, atol=1e-14)
+
     def test_zero_nodes_rejected(self):
         with pytest.raises(ValidationError):
             gauss_hermite_rule(0)

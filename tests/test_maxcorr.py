@@ -99,15 +99,13 @@ class TestExactExtremes:
         res = exact_extremes(joint, w)
         b1 = np.array([1.0, -1.0])
         b2 = [np.array([1.0, 0.0, -1.0]), np.array([1.0, -1.0, 1.0])]
-        best_hi, best_lo = -np.inf, np.inf
-        for th in np.linspace(0.0, np.pi, 301):
-            for ph in np.linspace(0.0, np.pi, 301):
-                f1 = np.cos(th) * b1
-                f2 = np.sin(th) * (np.cos(ph) * b2[0] + np.sin(ph) * b2[1])
-                if max(np.abs(f1).max(), np.abs(f2).max()) < 1e-9:
-                    continue
-                r = rayleigh_quotient(joint, w, [f1, f2])
-                best_hi, best_lo = max(best_hi, r), min(best_lo, r)
+        angles = np.linspace(0.0, np.pi, 301)
+        th, ph = (a.ravel()[:, None] for a in np.meshgrid(angles, angles, indexing="ij"))
+        f1 = np.cos(th) * b1
+        f2 = np.sin(th) * (np.cos(ph) * b2[0] + np.sin(ph) * b2[1])
+        keep = np.maximum(np.abs(f1).max(axis=1), np.abs(f2).max(axis=1)) >= 1e-9
+        r = rayleigh_quotient(joint, w, [f1[keep], f2[keep]])
+        best_hi, best_lo = r.max(), r.min()
         assert best_hi <= res.rho_max + 1e-9
         assert best_lo >= res.rho_min - 1e-9
         assert best_hi == pytest.approx(res.rho_max, abs=1e-3)
@@ -138,6 +136,25 @@ class TestExactExtremes:
             funcs = [rng.standard_normal(s) for s in joint.sizes]
             r = rayleigh_quotient(joint, w, funcs)
             assert res.rho_min - 1e-9 <= r <= res.rho_max + 1e-9
+
+    def test_batched_ratio_matches_per_row_calls(self, rng):
+        for sizes in [(2, 3), (3, 3, 2), (4, 2, 3, 2)]:
+            joint = random_joint(rng, sizes)
+            w = spectra.random_weight_matrix(len(sizes), rng)
+            funcs = [rng.standard_normal((25, s)) for s in joint.sizes]
+            batched = rayleigh_quotient(joint, w, funcs)
+            rows = [rayleigh_quotient(joint, w, [f[b] for f in funcs]) for b in range(25)]
+            assert batched.shape == (25,)
+            assert all(type(r) is float for r in rows)
+            np.testing.assert_allclose(batched, rows, rtol=0, atol=1e-14)
+
+    def test_batched_ratio_rejects_mismatched_batches(self, rng):
+        joint = random_joint(rng, (2, 3))
+        w = np.ones((2, 2))
+        with pytest.raises(ValidationError):
+            rayleigh_quotient(joint, w, [np.ones((4, 2)), np.ones((5, 3))])
+        with pytest.raises(ValidationError):
+            rayleigh_quotient(joint, w, [np.ones((4, 2)), np.ones(3)])
 
     def test_relabel_invariance(self, rng):
         joint = random_joint(rng, (3, 4))
