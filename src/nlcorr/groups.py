@@ -460,14 +460,6 @@ def _embed(comp: np.ndarray, axes, m: int, s: int) -> np.ndarray:
     return comp.reshape(shape)
 
 
-def _conditional_mean(arr: np.ndarray, probs: np.ndarray, keep: int) -> np.ndarray:
-    """Average out all axes beyond the first ``keep`` against the law."""
-    out = arr
-    while out.ndim > keep:
-        out = np.tensordot(out, probs, axes=([out.ndim - 1], [0]))
-    return out
-
-
 def _check_symmetric(arr: np.ndarray, m: int, tol: float) -> None:
     # adjacent transpositions generate the full symmetric group
     for i in range(m - 1):
@@ -483,10 +475,12 @@ def hoeffding_decompose(
     """Decompose a symmetric tabulated function into pure interaction orders.
 
     ``f0`` is an array of shape (s, ..., s) with one axis per argument. The
-    function is centered first if its mean is not already zero. Components are
-    built by the recursive conditional-expectation construction: the order-k
-    component is the conditional mean, given the first k coordinates, of f_0
-    minus all embedded lower-order components.
+    function is centered first if its mean is not already zero. Components
+    come from the projector (ANOVA) form of Hoeffding (1948) and Efron & Stein
+    (1981): the order-k component is prod_{i <= k} (I - E_i) applied to
+    E[f_0 | Y_1..Y_k], E_i averaging out argument i against the law. Each
+    order costs one subtraction per argument and carries no remainder, so
+    rounding errors do not cascade from lower orders.
     """
     arr = np.asarray(f0, dtype=float)
     m = arr.ndim
@@ -503,14 +497,14 @@ def hoeffding_decompose(
     centered = arr - mean
 
     components: list[np.ndarray] = []
-    remainder = centered
-    for k in range(1, m + 1):
-        comp = _conditional_mean(remainder, law.probs, k)
+    cond = centered
+    for k in range(m, 0, -1):
+        comp = cond
+        for axis in range(k):
+            comp = comp - np.expand_dims(np.tensordot(comp, law.probs, axes=([axis], [0])), axis)
         components.append(comp)
-        embedded = np.zeros_like(centered)
-        for axes in itertools.combinations(range(m), k):
-            embedded = embedded + _embed(comp, axes, m, s)
-        remainder = remainder - embedded
+        cond = np.tensordot(cond, law.probs, axes=([k - 1], [0]))
+    components.reverse()
     return HoeffdingDecomposition(
         law=law, order=m, centered=centered, components=tuple(components)
     )

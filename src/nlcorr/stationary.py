@@ -16,7 +16,19 @@ supremum 2 and infimum 0, the latter only approached as |w| grows.
 
 Tabulated kernels carry a declared geometric decay bound |K(t)| <= C r^|t|
 past the truncation radius; the analytic tail contribution is folded into the
-reported tolerance.
+reported tolerance. A line-domain table holds unit-spaced samples K(0..T) of
+a piecewise-linear K, whose cosine transform is summed exactly segment by
+segment (a Filon-type rule, Filon 1928), so no quadrature runs.
+
+Finite sections [K(i - j)] of the lattice operator check the spectral
+formula. For the autoregressive kernel the section is the Kac-Murdock-Szego
+matrix (Kac, Murdock & Szego 1953), whose extreme eigenvalues are the symbol
+(1 - b^2)/((1 - b)^2 + 4 b sin^2(theta/2)), b = |beta|, at the smallest and
+largest root theta in (0, pi) of
+
+    sin((n + 1) theta) - 2 b sin(n theta) + b^2 sin((n - 1) theta) = 0;
+
+beta < 0 has the same spectrum through the similarity diag((-1)^i).
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NLCorrError, ValidationError
 
 LATTICE = "lattice"
 LINE = "line"
@@ -158,8 +170,10 @@ def spectral_density(kernel: StationaryKernel, omega) -> np.ndarray | float:
     """Cosine spectral density K*(omega); closed forms dispatched exactly.
 
     On the lattice omega should lie in [-pi, pi] (the density is 2 pi
-    periodic); on the line any real omega is valid. For tabulated kernels the
-    truncation-tail bound is available from ``kernel.tail_bound()``.
+    periodic) and a table's density is its finite cosine sum; on the line any
+    real omega is valid and a table's density is the exact transform of its
+    piecewise-linear interpolant (``_line_transform``). For tabulated kernels
+    the truncation-tail bound is available from ``kernel.tail_bound()``.
     """
     w = np.asarray(omega, dtype=float)
     scalar = w.ndim == 0
@@ -175,23 +189,48 @@ def spectral_density(kernel: StationaryKernel, omega) -> np.ndarray | float:
         t = np.arange(1, kernel.radius + 1, dtype=float)
         out = kernel.table[0] + 2.0 * np.cos(np.outer(w, t)) @ kernel.table[1:]
     else:
-        from scipy.integrate import quad
-
-        vals = np.empty_like(w)
-        upper = float(kernel.radius)
-        for i, wi in enumerate(w):
-            # full_output silences the subdivision chatter on kinked tables;
-            # the integrand is piecewise smooth so the value itself is sound
-            res = quad(
-                lambda s: kernel.value(s) * math.cos(wi * s),
-                0.0,
-                upper,
-                limit=400,
-                full_output=1,
-            )
-            vals[i] = 2.0 * res[0]
-        out = vals
+        out = _line_transform(kernel.table, w)
     return float(out[0]) if scalar else out
+
+
+# S1(w) = int_{-1/2}^{1/2} u sin(w u) du
+#       = sum_k (-1)^k w^(2k+1) / (4^(k+1) (2k+3) (2k+1)!);
+# below |w| = 1/2 seven terms reach full precision, where the closed form
+# 2 (sin(w/2)/w^2 - cos(w/2)/(2w)) would cancel
+_S1_TAYLOR = tuple(
+    (-1) ** k / (4.0 ** (k + 1) * (2 * k + 3) * math.factorial(2 * k + 1)) for k in range(7)
+)
+
+
+def _s1(w: np.ndarray) -> np.ndarray:
+    out = np.empty_like(w)
+    small = np.abs(w) < 0.5
+    ws = w[small]
+    acc = np.zeros_like(ws)
+    for c in reversed(_S1_TAYLOR):
+        acc = acc * (ws * ws) + c
+    out[small] = acc * ws
+    wl = w[~small]
+    out[~small] = 2.0 * (np.sin(0.5 * wl) / (wl * wl) - np.cos(0.5 * wl) / (2.0 * wl))
+    return out
+
+
+def _line_transform(table: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """2 int_0^T K(s) cos(w s) ds for K piecewise linear through table[0..T].
+
+    On segment a, centred at c_a = a + 1/2 with mean m_a and slope g_a,
+    K = m_a + g_a u for u in [-1/2, 1/2], and the even and odd parts give
+
+        K*(w) = 2 sum_a [m_a cos(w c_a) S0(w) - g_a sin(w c_a) S1(w)],
+
+    S0 = sin(w/2)/(w/2) and S1 = int u sin(w u) du over [-1/2, 1/2]. At w = 0
+    this is twice the trapezoid rule.
+    """
+    mean = 0.5 * (table[1:] + table[:-1])
+    slope = np.diff(table)
+    angle = np.outer(w, np.arange(table.size - 1) + 0.5)
+    s0 = np.sinc(w / (2.0 * math.pi))
+    return 2.0 * (s0 * (np.cos(angle) @ mean) - _s1(w) * (np.sin(angle) @ slope))
 
 
 @dataclass(frozen=True)
@@ -226,12 +265,21 @@ class SpectralExtremes:
         }
 
 
-def _refine(fun: Callable, lo: float, hi: float) -> tuple[float, float]:
-    from scipy.optimize import minimize_scalar
+def _refine(fun: Callable, x: float, h: float, lo: float, hi: float) -> tuple[float, float]:
+    """Minimize the vectorized ``fun`` near x by zooming in on [x - h, x + h].
 
-    res = minimize_scalar(fun, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    return float(res.x), float(res.fun)
+    Each pass scans 33 points of the window (clipped to [lo, hi]), recentres
+    on the best one and shrinks h eightfold, to two grid spacings, until h
+    falls below 1e-12.
+    """
+    while True:
+        grid = np.linspace(max(lo, x - h), min(hi, x + h), 33)
+        vals = fun(grid)
+        i = int(np.argmin(vals))
+        x, fx = float(grid[i]), float(vals[i])
+        if h < 1e-12:
+            return x, fx
+        h /= 8.0
 
 
 def spectral_extremes(
@@ -241,9 +289,9 @@ def spectral_extremes(
 
     Named kernels use their closed forms. Otherwise the density is scanned on
     a frequency grid (by evenness only omega >= 0 is needed) and the best
-    cells are polished by bounded scalar minimization. On the line the
-    density vanishes at infinity, so the infimum is 0 whenever the grid never
-    dips to zero, reported as not attained.
+    cells are polished by a zooming grid search. On the line the density
+    vanishes at infinity, so the infimum is 0 whenever the grid never dips to
+    zero, reported as not attained.
     """
     if kernel.name == "ar1":
         b = abs(kernel.beta)
@@ -265,32 +313,27 @@ def spectral_extremes(
 
     if kernel.domain == LATTICE:
         w_hi = math.pi
-        n_grid = n_points
     else:
-        # beyond T * w ~ many oscillations the transform is tail-dominated;
-        # each line evaluation costs a quadrature, so cap the scan density
+        # beyond T * w ~ many oscillations the transform is tail-dominated
         w_hi = max(8.0 * math.pi, 64.0 / max(kernel.radius, 1))
-        n_grid = min(n_points, 801)
-    grid = np.linspace(0.0, w_hi, n_grid)
+    grid = np.linspace(0.0, w_hi, n_points)
     dens = np.asarray(spectral_density(kernel, grid))
     absd = np.abs(dens)
     step = grid[1] - grid[0]
     i_max, i_min = int(np.argmax(absd)), int(np.argmin(absd))
 
     def neg_abs(w):
-        return -abs(float(spectral_density(kernel, w)))
+        return -np.abs(spectral_density(kernel, w))
 
     def pos_abs(w):
-        return abs(float(spectral_density(kernel, w)))
+        return np.abs(spectral_density(kernel, w))
 
     arg_sup, sup = grid[i_max], absd[i_max]
     arg_inf, inf = grid[i_min], absd[i_min]
     if refine:
-        lo, hi = max(0.0, arg_sup - step), min(w_hi, arg_sup + step)
-        x, v = _refine(neg_abs, lo, hi)
+        x, v = _refine(neg_abs, arg_sup, step, 0.0, w_hi)
         arg_sup, sup = x, -v
-        lo, hi = max(0.0, arg_inf - step), min(w_hi, arg_inf + step)
-        arg_inf, inf = _refine(pos_abs, lo, hi)
+        arg_inf, inf = _refine(pos_abs, arg_inf, step, 0.0, w_hi)
 
     tol = kernel.tail_bound()
     sign_change = bool(dens.min() < -tol and dens.max() > tol)
@@ -334,25 +377,76 @@ class CrossCheckReport:
         }
 
 
+def _kms_root(b: float, n: int, lo: float, hi: float) -> float:
+    """Bisect for the root in (lo, hi) of the KMS equation divided by sin(theta).
+
+    The equation is evaluated as sin(n t) [(1 - b)^2 - 2 (1 + b^2) sin^2(t/2)]
+    + (1 - b^2) sin(t) cos(n t), the same function with no cancellation as
+    b -> 1; at t = 0 the quotient's limit n (1 - b)^2 + 1 - b^2 is used.
+    """
+
+    def g(t: float) -> float:
+        h = math.sin(0.5 * t)
+        return (math.sin(n * t) * ((1.0 - b) ** 2 - 2.0 * (1.0 + b * b) * h * h)
+                + (1.0 - b * b) * math.sin(t) * math.cos(n * t))
+
+    lo_positive = (n * (1.0 - b) ** 2 + 1.0 - b * b if lo == 0.0 else g(lo)) > 0.0
+    if (g(hi) > 0.0) == lo_positive:
+        raise NLCorrError(f"no sign change of the KMS equation on ({lo}, {hi}) at n={n}")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if (g(mid) > 0.0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _kms_extremes(beta: float, n: int) -> tuple[float, float]:
+    """Extreme eigenvalues (min, max) of the n x n section [beta^|i - j|].
+
+    The largest eigenvalue belongs to the root in (0, pi/(n+1)), the smallest
+    to the root in ((n-1) pi/(n+1), n pi/(n+1)); each bisection step costs O(1).
+    """
+    b = abs(beta)
+    if b == 0.0:
+        return 1.0, 1.0
+
+    def symbol(t: float) -> float:
+        return (1.0 - b * b) / ((1.0 - b) ** 2 + 4.0 * b * math.sin(0.5 * t) ** 2)
+
+    step = math.pi / (n + 1)
+    t_large = _kms_root(b, n, (n - 1) * step, n * step)
+    t_small = _kms_root(b, n, 0.0, step)
+    return symbol(t_large), symbol(t_small)
+
+
 def circulant_cross_check(kernel: StationaryKernel, n: int) -> CrossCheckReport:
     """Compare the n x n symmetric Toeplitz section against the spectral extremes.
 
     The Toeplitz eigenvalues live inside the density range and converge to the
-    extremes as n grows, so the gap must shrink with refinement.
+    extremes as n grows, so the gap must shrink with refinement. The
+    autoregressive section's extremes come from the Kac-Murdock-Szego
+    equation (module docstring) by bisection; a tabulated kernel's section
+    [K(|i - j|)] is formed and solved densely.
     """
     if kernel.domain != LATTICE:
         raise ValidationError("finite sections require a lattice kernel")
     if n < 1:
         raise ValidationError("section size must be positive")
-    from scipy.linalg import toeplitz
-
-    col = kernel.value(np.arange(n))
-    spec = np.linalg.eigvalsh(toeplitz(col))
+    if kernel.name == "ar1":
+        lo, hi = _kms_extremes(kernel.beta, n)
+    else:
+        idx = np.arange(n)
+        col = kernel.value(idx)
+        spec = np.linalg.eigvalsh(col[np.abs(idx[:, None] - idx[None, :])])
+        lo, hi = float(spec[0]), float(spec[-1])
     extremes = spectral_extremes(kernel)
     return CrossCheckReport(
         n=int(n),
-        toeplitz_min=float(spec[0]),
-        toeplitz_max=float(spec[-1]),
+        toeplitz_min=lo,
+        toeplitz_max=hi,
         spectral_inf=extremes.inf,
         spectral_sup=extremes.sup,
     )

@@ -312,8 +312,8 @@ class TestErrorPaths:
 
 
 # Runs in a fresh interpreter: prints the loaded scipy modules after importing
-# the package and after each trivial subcommand, then exercises the two paths
-# that still load scipy on demand.
+# the package and after each subcommand that needs no scipy, then exercises the
+# path that still loads scipy on demand (the probit transform's normal cdf).
 _IMPORT_BUDGET_SCRIPT = """
 import io, json, sys
 from contextlib import redirect_stdout
@@ -323,17 +323,24 @@ def scipy_modules():
 
 import nlcorr
 from nlcorr import cli
+matrix, sandwich, lattice, line = sys.argv[1:5]
 stages = {"import nlcorr": scipy_modules()}
-for argv in (["nested", "--m", "1,2"], ["eig", "--input", sys.argv[1]],
-             ["hermite", "--fn", "sin:1.0", "--nodes", "64"],
-             ["stationary", "--name", "ar1", "--beta", "0.5"]):
+for label, argv in (
+        ("nested", ["nested", "--m", "1,2"]),
+        ("eig", ["eig", "--input", matrix]),
+        ("hermite", ["hermite", "--fn", "sin:1.0", "--nodes", "64"]),
+        ("stationary ar1", ["stationary", "--name", "ar1", "--beta", "0.5",
+                            "--crosscheck", "200"]),
+        ("kernel", ["kernel", "--n", "50,100,200"]),
+        ("stationary lattice", ["stationary", "--input", lattice, "--crosscheck", "50"]),
+        ("stationary line", ["stationary", "--input", line])):
     with redirect_stdout(io.StringIO()):
         code = cli.run(argv)
-    stages[argv[0]] = scipy_modules() if code == 0 else ["exit %d" % code]
+    stages[label] = scipy_modules() if code == 0 else ["exit %d" % code]
 line = nlcorr.spectral_density(nlcorr.table_kernel("line", [1.0, 0.5, 0.0]), [0.0])
 out = io.StringIO()
 with redirect_stdout(out):
-    code = cli.run(["sandwich", "--input", sys.argv[2]])
+    code = cli.run(["sandwich", "--input", sandwich])
 print(json.dumps({"stages": stages, "line_density": float(line[0]),
                   "sandwich": [code, json.loads(out.getvalue())["results"]["verdict"]],
                   "loaded": scipy_modules()}))
@@ -348,19 +355,28 @@ def test_trivial_subcommands_load_no_scipy(tmp_path):
         {"sigma_z": [[1.0, 0.5], [0.5, 1.0]], "transforms": ["probit_uniform"] * 2,
          "f": ["zero"] * 2, "f_hat": ["hermite2"] * 2, "n_mc": 20_000, "seed": 6}
     ))
+    lattice = tmp_path / "lattice.json"
+    lattice.write_text(json.dumps(
+        {"domain": "lattice", "name": "table", "table": {"values": [1.0, 0.5, 0.25]}}))
+    line = tmp_path / "line.json"
+    line.write_text(json.dumps(
+        {"domain": "line", "name": "table", "table": {"values": [1.0, 0.5, 0.0]}}))
     src = str(Path(nlcorr.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_BUDGET_SCRIPT, str(matrix), str(sandwich)],
+        [sys.executable, "-c", _IMPORT_BUDGET_SCRIPT, str(matrix), str(sandwich),
+         str(lattice), str(line)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["stages"] == {
-        "import nlcorr": [], "nested": [], "eig": [], "hermite": [], "stationary": []
+        "import nlcorr": [], "nested": [], "eig": [], "hermite": [], "stationary ar1": [],
+        "kernel": [], "stationary lattice": [], "stationary line": [],
     }
     # 2 * integral of the hat 1 - t/2 over [0, 2]
     assert result["line_density"] == pytest.approx(2.0, abs=1e-10)
     assert result["sandwich"] == [0, "holds"]
-    assert {"scipy.integrate", "scipy.special"} <= set(result["loaded"])
+    assert "scipy.special" in result["loaded"]
+    assert "scipy.integrate" not in result["loaded"]

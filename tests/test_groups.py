@@ -301,6 +301,24 @@ class TestHoeffding:
             total = float(np.sum(mass * dec.centered ** 2))
             assert sum(dec.variance_components()) == pytest.approx(total, abs=1e-12)
 
+    @pytest.mark.parametrize("m", [6, 8, 10])
+    def test_identities_hold_at_high_order(self, rng, m):
+        # h(y_1 + ... + y_m) with a random h is exactly symmetric; the
+        # subtract-the-embedded-lower-orders construction missed the
+        # conditional-mean identity by 1e-11 at m=6 and by O(1) at m=10
+        counts = np.indices((2,) * m).sum(axis=0)
+        for _ in range(5):
+            f0 = rng.standard_normal(m + 1)[counts]
+            dec = hoeffding_decompose(f0, RADEMACHER)
+            assert [c.shape for c in dec.components] == [(2,) * ell for ell in range(1, m + 1)]
+            np.testing.assert_allclose(dec.reconstruct(), dec.centered, atol=1e-12)
+            for ell, comp in enumerate(dec.components, start=1):
+                for axis in range(ell):
+                    reduced = np.tensordot(comp, RADEMACHER.probs, axes=([axis], [0]))
+                    np.testing.assert_allclose(reduced, 0.0, atol=1e-12)
+            total = float(np.sum(_product_weights(RADEMACHER.probs, m) * dec.centered ** 2))
+            assert sum(dec.variance_components()) == pytest.approx(total, abs=1e-12)
+
     def test_asymmetric_input_rejected(self):
         f0 = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValidationError):

@@ -198,6 +198,24 @@ class TestNystrom:
         assert vals[0] > vals[1] > vals[2]
         assert all(v <= SQRT_HALF + 2e-3 for v in vals)
 
+    @pytest.mark.parametrize("n", [2, 3, 50, 200, 1000, 2000])
+    def test_brownian_lambda_max_matches_dense_nystrom(self, n):
+        dense = nystrom_eigs(KernelGrid.from_kernel(brownian_corr_kernel, n))[-1]
+        assert brownian_lambda_max(n) == pytest.approx(dense, abs=1e-13)
+
+    def test_brownian_lambda_max_continuum_limit(self):
+        # the operator's top eigenvalue is 4 / j_{0,1}^2; the midpoint grid
+        # is 4.1e-11 above it at n = 10^5
+        from scipy.special import jn_zeros
+
+        limit = 4.0 / jn_zeros(0, 1)[0] ** 2
+        assert brownian_lambda_max(10 ** 5) == pytest.approx(limit, abs=1e-10)
+
+    def test_brownian_lambda_max_repeatable_and_validated(self):
+        assert brownian_lambda_max(777) == brownian_lambda_max(777)
+        with pytest.raises(ValidationError):
+            brownian_lambda_max(1)
+
     def test_nested_sum_scaling_approaches_operator(self):
         # lambda_max(R_p)/p decreases toward the operator value
         target = brownian_lambda_max(1000)

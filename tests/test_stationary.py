@@ -108,6 +108,27 @@ class TestTabulatedKernels:
             want = 2.0 / (1.0 + w * w)
             assert abs(spectral_density(k, w) - want) <= 0.2
 
+    def test_line_table_sup_is_twice_trapezoid(self):
+        # a nonnegative table peaks at omega = 0, where the transform of the
+        # interpolant is the trapezoid rule
+        vals = np.exp(-np.arange(0.0, 45.0))
+        k = table_kernel("line", vals, DecayBound(C=1.0, r=math.exp(-1.0)))
+        ext = spectral_extremes(k)
+        assert ext.arg_sup == 0.0
+        assert ext.sup == pytest.approx(2.0 * np.trapezoid(vals), rel=1e-15)
+
+    def test_scan_resolves_a_density_zero(self):
+        # |1 - 1.6 cos w| has its infimum 0 at the kink w = arccos(0.625)
+        ext = spectral_extremes(table_kernel("lattice", [1.0, -0.8]))
+        assert ext.inf <= 1e-12
+        assert ext.arg_inf == pytest.approx(math.acos(0.625), abs=1e-11)
+
+    def test_repeated_scans_identical(self):
+        k = self._ar1_table()
+        assert spectral_extremes(k) == spectral_extremes(k)
+        line = table_kernel("line", [1.0, 0.3, -0.2, 0.1])
+        assert spectral_extremes(line) == spectral_extremes(line)
+
     def test_non_summable_rejected(self):
         with pytest.raises(ValidationError):
             DecayBound(C=1.0, r=1.0)
@@ -142,3 +163,63 @@ class TestCrossCheck:
     def test_line_kernel_rejected(self):
         with pytest.raises(ValidationError):
             circulant_cross_check(ou_kernel(), 10)
+
+
+class TestLineTransform:
+    """The closed-form cosine transform of a piecewise-linear line table."""
+
+    FREQS = [0.0, 1e-12, 1e-6, 1e-3, 0.1, 0.49, 0.5 - 1e-9, 0.5, 0.5 + 1e-9, 0.51, 1.0,
+             10.0, 100.0]
+
+    @staticmethod
+    def _segmentwise(values, w):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            w = mpmath.mpf(w)
+            total = mpmath.mpf(0)
+            for a in range(len(values) - 1):
+                fa, fb = mpmath.mpf(values[a]), mpmath.mpf(values[a + 1])
+                total += mpmath.quad(
+                    lambda s: (fa + (fb - fa) * (s - a)) * mpmath.cos(w * s), [a, a + 1])
+            return float(2 * total)
+
+    def test_matches_high_precision_integral(self):
+        vals = [1.0, 0.62, -0.15, 0.4, 0.05, 0.0]
+        k = table_kernel("line", vals)
+        got = spectral_density(k, self.FREQS)
+        want = [self._segmentwise(vals, w) for w in self.FREQS]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    def test_even_and_trapezoid_at_zero(self):
+        vals = np.array([1.0, 0.62, -0.15, 0.4, 0.05, 0.0])
+        k = table_kernel("line", vals)
+        w = np.array(self.FREQS)
+        np.testing.assert_array_equal(spectral_density(k, -w), spectral_density(k, w))
+        assert spectral_density(k, 0.0) == pytest.approx(2.0 * np.trapezoid(vals), rel=1e-15)
+
+    def test_single_value_table_is_zero(self):
+        # a radius-0 line table is the zero function off the origin
+        assert spectral_density(table_kernel("line", [1.0]), [0.0, 2.0]).tolist() == [0.0, 0.0]
+
+
+class TestKacMurdockSzego:
+    @pytest.mark.parametrize("n", [1, 2, 3, 20, 400, 2000])
+    def test_ar1_section_matches_dense(self, n):
+        idx = np.arange(n)
+        for beta in (-0.99, -0.5, 0.0, 0.1, 0.5, 0.9, 0.99):
+            rep = circulant_cross_check(ar1_kernel(beta), n)
+            dense = np.linalg.eigvalsh(beta ** np.abs(idx[:, None] - idx[None, :]))
+            assert rep.toeplitz_min == pytest.approx(dense[0], rel=1e-12, abs=0)
+            assert rep.toeplitz_max == pytest.approx(dense[-1], rel=1e-12, abs=0)
+
+    def test_repeatable(self):
+        k = ar1_kernel(0.73)
+        assert circulant_cross_check(k, 999) == circulant_cross_check(k, 999)
+
+    def test_table_section_matches_named_kernel(self):
+        # the dense path for tables and the KMS path agree on the same kernel
+        tab = table_kernel("lattice", 0.6 ** np.arange(300))
+        rep = circulant_cross_check(tab, 250)
+        kms = circulant_cross_check(ar1_kernel(0.6), 250)
+        assert rep.toeplitz_min == pytest.approx(kms.toeplitz_min, rel=1e-12)
+        assert rep.toeplitz_max == pytest.approx(kms.toeplitz_max, rel=1e-12)
