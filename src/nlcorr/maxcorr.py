@@ -20,9 +20,13 @@ E[f_j] = 0 is exactly the orthogonality to sqrt(p_j).
 The classical two-variable maximal correlation is the second-largest singular
 value of D_1^{-1/2} P_12 D_2^{-1/2} (the largest is the trivial value 1).
 
-A sample-based estimator discretizes columns to their empirical supports
-(quantile bins for continuous data), builds the empirical joint, and solves
-the same eigenproblem for it.
+The eigenproblem reads a joint law only through its pairwise laws: the
+number of variables, the support sizes, the marginal pmfs and the bivariate
+pmf tables (``PairwiseLaw``). ``DiscreteJoint`` supplies them from enumerated
+atoms. The sample-based estimator (ACE, Breiman & Friedman 1985) supplies them
+as ``SampleTables``: it codes each column by its distinct values, or by
+quantile bins beyond ``bins`` distinct values, and counts marginal and pair
+tables straight from the codes, so no atom of the n-sample joint is built.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Protocol, Sequence
 
 import numpy as np
 
@@ -47,6 +51,25 @@ PROB_TOL = 1e-12
 # ---------------------------------------------------------------------------
 # joint distributions over finite product supports
 # ---------------------------------------------------------------------------
+
+
+class PairwiseLaw(Protocol):
+    """The part of a finite-support joint law that the eigenproblem reads.
+
+    ``marginal(j)`` is the pmf of variable j over its ``sizes[j]`` support
+    points, and ``bivariate(j, k)`` the (sizes[j], sizes[k]) pmf table of the
+    pair. Every support point must carry positive mass.
+    """
+
+    @property
+    def nvars(self) -> int: ...
+
+    @property
+    def sizes(self) -> tuple[int, ...]: ...
+
+    def marginal(self, j: int) -> np.ndarray: ...
+
+    def bivariate(self, j: int, k: int) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -191,7 +214,7 @@ def _complement_basis(v: np.ndarray) -> np.ndarray:
     return h[:, 1:]
 
 
-def _assemble_blocks(joint: DiscreteJoint, w: np.ndarray):
+def _assemble_blocks(joint: PairwiseLaw, w: np.ndarray):
     """The symmetric matrix H plus the per-variable whitening data."""
     p = joint.nvars
     margs = [joint.marginal(j) for j in range(p)]
@@ -266,7 +289,7 @@ def _unstack(vec, margs, inv_sqrt, bases, offsets, zero_tol=1e-12):
     return tuple(funcs), tuple(variances), tuple(zero_blocks)
 
 
-def exact_extremes(joint: DiscreteJoint, w) -> ExtremeResult:
+def exact_extremes(joint: PairwiseLaw, w) -> ExtremeResult:
     """Exact extreme nonlinear correlations of a finite-support joint law.
 
     Returns the extreme eigenvalues of the whitened block matrix together with
@@ -298,7 +321,7 @@ def exact_extremes(joint: DiscreteJoint, w) -> ExtremeResult:
     )
 
 
-def rayleigh_quotient(joint: DiscreteJoint, w, funcs) -> float | np.ndarray:
+def rayleigh_quotient(joint: PairwiseLaw, w, funcs) -> float | np.ndarray:
     """The weighted-correlation ratio for given per-variable function tables.
 
     Functions are centered under their marginals before evaluation, so any
@@ -330,7 +353,7 @@ def rayleigh_quotient(joint: DiscreteJoint, w, funcs) -> float | np.ndarray:
     return ratio if batch else float(ratio)
 
 
-def pair_max_corr(joint: DiscreteJoint) -> float:
+def pair_max_corr(joint: PairwiseLaw) -> float:
     """Classical maximal correlation of a two-variable finite joint law.
 
     Second-largest singular value of D_1^{-1/2} P_12 D_2^{-1/2}; the largest
@@ -353,25 +376,97 @@ def pair_max_corr(joint: DiscreteJoint) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _bin_column(col: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Support labels and integer codes of a finite column; ``labels[codes]`` bins it.
+
+    A column with at most ``bins`` distinct values keeps them as its support.
+    Otherwise it is cut at its interior ``bins``-quantiles, a value equal to
+    an edge going to the bin above it, and the support is the bin numbers
+    that occur: heavy ties can leave a bin empty.
+    """
+    if bins < 2:
+        raise ValidationError(f"bins must be at least 2, got {bins}")
+    srt = np.sort(col)
+    first = np.empty(srt.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(srt[1:], srt[:-1], out=first[1:])
+    if np.count_nonzero(first) <= bins:
+        labels = srt[first]
+        return labels, np.searchsorted(labels, col)
+    # quantiles of the sorted copy are bit-identical to those of the column
+    edges = np.quantile(srt, np.linspace(0.0, 1.0, bins + 1)[1:-1])
+    codes = np.searchsorted(edges, col, side="right")
+    used = np.bincount(codes, minlength=bins) > 0
+    if not used.all():
+        codes = (np.cumsum(used) - 1)[codes]
+    return np.flatnonzero(used).astype(float), codes
+
+
 def quantile_bin_column(col: np.ndarray, bins: int) -> np.ndarray:
-    """Reduce a continuous column to at most ``bins`` quantile bins."""
-    col = np.asarray(col, dtype=float)
-    distinct = np.unique(col)
-    if distinct.size <= bins:
-        return col
-    edges = np.quantile(col, np.linspace(0.0, 1.0, bins + 1)[1:-1])
-    return np.searchsorted(edges, col, side="right").astype(float)
+    """Reduce a finite column to at most ``bins`` quantile bins.
+
+    Returns the column's values when it has at most ``bins`` distinct values,
+    else each value's bin number.
+    """
+    labels, codes = _bin_column(np.asarray(col, dtype=float), bins)
+    return labels[codes]
+
+
+@dataclass(frozen=True)
+class SampleTables:
+    """Empirical pairwise laws of a coded sample, counted without atoms.
+
+    Row j of the (p, n) ``codes`` holds each sample's index into
+    ``supports[j]``, and every support point occurs. Marginal and bivariate
+    pmfs are code counts over n; the n-atom empirical joint they come from is
+    never enumerated.
+    """
+
+    supports: tuple[tuple[float, ...], ...]
+    codes: np.ndarray
+
+    @property
+    def nvars(self) -> int:
+        return len(self.supports)
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(len(s) for s in self.supports)
+
+    @classmethod
+    def from_samples(cls, samples, bins: int = 16) -> "SampleTables":
+        """Code each column of an n x p sample table by ``quantile_bin_column``'s rule."""
+        data = np.asarray(samples, dtype=float)
+        if data.ndim != 2 or data.shape[0] < 2 or data.shape[1] < 1:
+            raise ValidationError("samples must be an n x p table with n >= 2 and p >= 1")
+        n, p = data.shape
+        codes = np.empty((p, n), dtype=np.intp)
+        supports = []
+        for j in range(p):
+            col = np.ascontiguousarray(data[:, j])
+            if not np.isfinite(col).all():
+                raise ValidationError(f"samples column {j} holds non-finite values")
+            labels, codes[j] = _bin_column(col, bins)
+            if labels.size < 2:
+                raise DegenerateInputError(f"variable {j} is constant (support size 1)")
+            supports.append(tuple(labels.tolist()))
+        return cls(supports=tuple(supports), codes=codes)
+
+    def marginal(self, j: int) -> np.ndarray:
+        return np.bincount(self.codes[j], minlength=self.sizes[j]) / self.codes.shape[1]
+
+    def bivariate(self, j: int, k: int) -> np.ndarray:
+        """Bivariate pmf matrix P_jk: counts of the code pairs over n."""
+        sj, sk = self.sizes[j], self.sizes[k]
+        flat = self.codes[j] * sk + self.codes[k]
+        return np.bincount(flat, minlength=sj * sk).reshape(sj, sk) / self.codes.shape[1]
 
 
 def ace_estimate(samples, w, *, bins: int = 16) -> ExtremeResult:
     """Extreme nonlinear correlations of the empirical joint of raw samples.
 
-    Columns are reduced to their empirical supports (quantile bins beyond
+    Columns are coded by their empirical supports (quantile bins beyond
     ``bins`` distinct values), and the exact extremes of the resulting
-    empirical joint law are returned.
+    empirical joint law are returned, computed from its pair tables.
     """
-    data = np.asarray(samples, dtype=float)
-    if data.ndim != 2 or data.shape[0] < 2:
-        raise ValidationError("samples must be an n x p table with n >= 2")
-    cols = [quantile_bin_column(data[:, j], bins) for j in range(data.shape[1])]
-    return exact_extremes(DiscreteJoint.from_samples(cols), w)
+    return exact_extremes(SampleTables.from_samples(samples, bins), w)

@@ -293,6 +293,8 @@ def spectral_extremes(
     vanishes at infinity, so the infimum is 0 whenever the grid never dips to
     zero, reported as not attained.
     """
+    if n_points < 2:
+        raise ValidationError(f"n_points must be at least 2, got {n_points}")
     if kernel.name == "ar1":
         b = abs(kernel.beta)
         sup = (1.0 + b) / (1.0 - b)

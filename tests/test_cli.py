@@ -293,6 +293,24 @@ class TestErrorPaths:
         assert code == 1
         assert "sigma_z" in payload["error"]["message"]
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_ace_non_finite_sample_named(self, capsys, tmp_path, bad):
+        path = tmp_path / "samples.csv"
+        path.write_text("x1,x2,x3\n" + "\n".join(
+            f"{i},{bad if i == 3 else (i * 7) % 5},{i % 3}" for i in range(10)))
+        code, out = run_json(capsys, ["ace", "--input", str(path)])
+        assert code == 1
+        assert out["error"]["type"] == "ValidationError"
+        assert "column 1" in out["error"]["message"]
+
+    def test_ace_bins_below_two(self, capsys, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_text("x1,x2\n" + "\n".join(f"{i},{(i * 7) % 5}" for i in range(10)))
+        code, out = run_json(capsys, ["ace", "--input", str(path), "--bins", "1"])
+        assert code == 1
+        assert out["error"]["type"] == "ValidationError"
+        assert "bins" in out["error"]["message"]
+
     @pytest.mark.parametrize(
         "subcommand, payload, field",
         [
@@ -323,7 +341,7 @@ def scipy_modules():
 
 import nlcorr
 from nlcorr import cli
-matrix, sandwich, lattice, line = sys.argv[1:5]
+matrix, sandwich, lattice, line, samples = sys.argv[1:6]
 stages = {"import nlcorr": scipy_modules()}
 for label, argv in (
         ("nested", ["nested", "--m", "1,2"]),
@@ -333,7 +351,8 @@ for label, argv in (
                             "--crosscheck", "200"]),
         ("kernel", ["kernel", "--n", "50,100,200"]),
         ("stationary lattice", ["stationary", "--input", lattice, "--crosscheck", "50"]),
-        ("stationary line", ["stationary", "--input", line])):
+        ("stationary line", ["stationary", "--input", line]),
+        ("ace", ["ace", "--input", samples, "--bins", "4"])):
     with redirect_stdout(io.StringIO()):
         code = cli.run(argv)
     stages[label] = scipy_modules() if code == 0 else ["exit %d" % code]
@@ -361,19 +380,21 @@ def test_trivial_subcommands_load_no_scipy(tmp_path):
     line = tmp_path / "line.json"
     line.write_text(json.dumps(
         {"domain": "line", "name": "table", "table": {"values": [1.0, 0.5, 0.0]}}))
+    samples = tmp_path / "samples.csv"
+    samples.write_text("x1,x2\n" + "\n".join(f"{i / 7},{(i * 3) % 11}" for i in range(40)))
     src = str(Path(nlcorr.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_BUDGET_SCRIPT, str(matrix), str(sandwich),
-         str(lattice), str(line)],
+         str(lattice), str(line), str(samples)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["stages"] == {
         "import nlcorr": [], "nested": [], "eig": [], "hermite": [], "stationary ar1": [],
-        "kernel": [], "stationary lattice": [], "stationary line": [],
+        "kernel": [], "stationary lattice": [], "stationary line": [], "ace": [],
     }
     # 2 * integral of the hat 1 - t/2 over [0, 2]
     assert result["line_density"] == pytest.approx(2.0, abs=1e-10)

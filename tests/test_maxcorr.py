@@ -17,7 +17,7 @@ from nlcorr import (
     rayleigh_quotient,
 )
 from nlcorr import additive, spectra
-from nlcorr.maxcorr import quantile_bin_column
+from nlcorr.maxcorr import SampleTables, quantile_bin_column
 
 SQRT_HALF = np.sqrt(0.5)
 RADEMACHER = DiscreteLaw.rademacher()
@@ -306,8 +306,25 @@ class TestAceEstimate:
 
     def test_constant_column_rejected(self):
         data = np.column_stack([np.ones(10), np.arange(10.0)])
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(DegenerateInputError, match="variable 0"):
             ace_estimate(data, np.ones((2, 2)))
+        with pytest.raises(DegenerateInputError, match="variable 1"):
+            ace_estimate(data[:, ::-1], np.ones((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, rng, bad):
+        data = rng.standard_normal((500, 3))
+        data[17, 1] = bad
+        with pytest.raises(ValidationError, match="column 1"):
+            ace_estimate(data, np.ones((3, 3)))
+
+    @pytest.mark.parametrize("bins", [-3, 0, 1])
+    def test_bins_below_two_rejected(self, rng, bins):
+        data = rng.standard_normal((50, 2))
+        with pytest.raises(ValidationError, match="bins"):
+            ace_estimate(data, np.ones((2, 2)), bins=bins)
+        with pytest.raises(ValidationError, match="bins"):
+            quantile_bin_column(data[:, 0], bins)
 
     def test_quantile_binning_bounds_support(self, rng):
         data = rng.standard_normal((1000, 2))
@@ -324,3 +341,82 @@ class TestAceEstimate:
         r1 = ace_estimate(base, np.ones((3, 3)), bins=12)
         r2 = ace_estimate(warped, np.ones((3, 3)), bins=12)
         assert r1.rho_max == r2.rho_max and r1.rho_min == r2.rho_min
+
+
+def _reference_bins(col, bins):
+    """The binning formula written out: distinct values, else quantile-bin numbers."""
+    col = np.asarray(col, dtype=float)
+    if np.unique(col).size <= bins:
+        return col
+    edges = np.quantile(col, np.linspace(0.0, 1.0, bins + 1)[1:-1])
+    return np.searchsorted(edges, col, side="right").astype(float)
+
+
+def _tied_column(rng, n):
+    # half the sample sits on one value, so several interior quantiles
+    # coincide and the bins between them stay empty
+    col = rng.standard_normal(n)
+    col[rng.random(n) < 0.5] = 0.25
+    return col
+
+
+_SAMPLE_CASES = {
+    "continuous": lambda rng, n: rng.standard_normal((n, 4)) @ rng.standard_normal((4, 4)),
+    "integers": lambda rng, n: rng.integers(-3, 5, size=(n, 3)).astype(float),
+    "rounded": lambda rng, n: np.round(rng.uniform(0.0, 1.5, size=(n, 3)), 1),
+    "heavy-ties": lambda rng, n: np.column_stack(
+        [_tied_column(rng, n), _tied_column(rng, n), rng.standard_normal(n)]),
+    "two-point": lambda rng, n: np.column_stack(
+        [rng.integers(0, 2, n) * 2.5 - 1.0, rng.standard_normal(n)]),
+    "mixed": lambda rng, n: np.column_stack([
+        rng.standard_normal(n), rng.integers(0, 5, n), np.round(rng.uniform(0, 1, n), 1),
+        _tied_column(rng, n), rng.integers(0, 2, n), np.exp(rng.standard_normal(n))]),
+}
+
+
+class TestSampleTables:
+    """The pair-table source against the atom joint of the same binned sample."""
+
+    BINS = 16
+
+    @pytest.fixture(params=sorted(_SAMPLE_CASES))
+    def case(self, request):
+        rng = np.random.default_rng(list(_SAMPLE_CASES).index(request.param))
+        data = _SAMPLE_CASES[request.param](rng, 3000)
+        # correlate the columns through their ranks so the extremes are not trivial
+        data = data[np.argsort(data[:, 0] + 0.5 * rng.standard_normal(data.shape[0]))]
+        b = rng.uniform(0.2, 1.5, size=(data.shape[1],) * 2)
+        return request.param, data, b + b.T
+
+    def test_quantile_bin_column_matches_reference(self, case):
+        _, data, _ = case
+        for col in data.T:
+            np.testing.assert_array_equal(
+                quantile_bin_column(col, self.BINS), _reference_bins(col, self.BINS))
+
+    def test_same_law_and_extremes_as_atom_joint(self, case):
+        name, data, w = case
+        tables = SampleTables.from_samples(data, self.BINS)
+        atoms = DiscreteJoint.from_samples([_reference_bins(c, self.BINS) for c in data.T])
+        assert tables.supports == atoms.supports
+        assert tables.codes.dtype == np.intp and tables.codes.flags.c_contiguous
+        # the atom joint adds up copies of 1/n, each sum within n eps of the count over n
+        n, p = data.shape
+        tol = n * np.finfo(float).eps
+        for j in range(p):
+            np.testing.assert_allclose(tables.marginal(j), atoms.marginal(j), rtol=0, atol=tol)
+            for k in range(j + 1, p):
+                np.testing.assert_allclose(
+                    tables.bivariate(j, k), atoms.bivariate(j, k), rtol=0, atol=tol)
+        if name == "heavy-ties":
+            assert tables.sizes[0] < self.BINS < np.unique(data[:, 0]).size
+
+        new, old = ace_estimate(data, w, bins=self.BINS), exact_extremes(atoms, w)
+        assert max(new.residuals) <= 1e-12
+        assert abs(new.rho_max - old.rho_max) <= 1e-12
+        assert abs(new.rho_min - old.rho_min) <= 1e-12
+        for f_new, f_old, rho in ((new.f_max, old.f_max, new.rho_max),
+                                  (new.f_min, old.f_min, new.rho_min)):
+            a, b = np.concatenate(f_new), np.concatenate(f_old)
+            np.testing.assert_allclose(np.sign(a @ b) * a, b, rtol=0, atol=1e-10)
+            assert abs(rayleigh_quotient(tables, w, f_new) - rho) <= 1e-12

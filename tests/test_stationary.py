@@ -129,6 +129,20 @@ class TestTabulatedKernels:
         line = table_kernel("line", [1.0, 0.3, -0.2, 0.1])
         assert spectral_extremes(line) == spectral_extremes(line)
 
+    @pytest.mark.parametrize("domain, values", [("lattice", [1.0, 0.5, 0.25]),
+                                                 ("line", [1.0, 0.5, 0.0])])
+    def test_scan_needs_two_grid_points(self, domain, values):
+        k = table_kernel(domain, values)
+        for n_points in (0, 1):
+            with pytest.raises(ValidationError, match="n_points"):
+                spectral_extremes(k, n_points=n_points)
+        # 1 + cos w + cos(2w)/2 peaks at 2.5 (w = 0) and bottoms out at 1/4 (w = 2pi/3);
+        # the hat 1 - |t|/2 has the transform 4 sin^2(w) / w^2, peaking at 2
+        ext = spectral_extremes(k, n_points=2)
+        assert ext.sup == pytest.approx(2.5 if domain == "lattice" else 2.0, abs=1e-12)
+        if domain == "lattice":
+            assert ext.inf == pytest.approx(0.25, abs=1e-12)
+
     def test_non_summable_rejected(self):
         with pytest.raises(ValidationError):
             DecayBound(C=1.0, r=1.0)
