@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -118,7 +119,12 @@ def _cmd_oracle(args):
 
 
 def _cmd_ace(args):
-    data = np.loadtxt(args.input, delimiter=",", skiprows=1, ndmin=2)
+    with warnings.catch_warnings():
+        # an empty table is reported below, naming the file
+        warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
+        data = np.loadtxt(args.input, delimiter=",", skiprows=1, ndmin=2)
+    if data.size == 0:
+        raise ValidationError(f"{args.input} holds no sample rows below its header")
     w = _resolve_weights(args.weights, data.shape[1])
     res = maxcorr.ace_estimate(data, w, bins=args.bins)
     paths = [args.input] + ([args.weights] if args.weights not in ("ones", "offdiag") else [])

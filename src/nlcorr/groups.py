@@ -15,6 +15,9 @@ one iid sequence:
   interaction orders, with its reconstruction, conditional-mean-zero, and
   variance identities,
 - the normalized elementary-symmetric product functions that attain R^(l),
+- exact joint laws of the block sums for the finite-support oracle, built
+  from independent Venn-cell sums (labels in exactly the same groups) and
+  the law's convolution powers, never from the s^u label tuples,
 - the sin-transform construction sin(t S - m c_t) whose correlations converge
   to R as t -> 0+ even without second moments; c_t in (-pi/2, pi/2) solves
   E[sin(tY - c_t)] = 0.
@@ -595,33 +598,90 @@ def group_cross_cov(
 
 # ---------------------------------------------------------------------------
 # iid-sum joints for the exact oracle
+#
+# A block sum splits into independent sums over Venn cells, the sets of
+# labels that belong to exactly the same groups, so the joint law needs only
+# the convolution powers of the law, one per cell size (Dembo, Kagan & Shepp
+# 2001 use the same split for nested partial sums). ``budget`` bounds the
+# number of atoms actually built: the product of the cells' support sizes.
 # ---------------------------------------------------------------------------
 
 
+def _merge_rounded_sums(sums: np.ndarray, n_terms: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of float sums of ``n_terms`` terms of size <= ``scale``.
+
+    The same exact sum reached in another order may differ in its last bits,
+    by at most about n eps sum|y_i|, so adjacent sorted values closer than
+    n^2 eps scale are one value, represented by the smallest. Returns the
+    values and, for each sum, the index of its value.
+    """
+    vals, inv = np.unique(sums, return_inverse=True)
+    tol = n_terms ** 2 * np.finfo(float).eps * scale
+    first = np.concatenate(([True], np.diff(vals) > tol))
+    return vals[first], (np.cumsum(first) - 1)[inv]
+
+
+def _sum_laws(law: DiscreteLaw, lengths, budget: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Support and pmf of Y_1 + ... + Y_n for each n in ``lengths``.
+
+    Convolution powers by repeated convolution with the law, rounding splits
+    merged after every step. A power with more than ``budget`` support points
+    raises, since every later power is at least as large.
+    """
+    scale = float(np.abs(law.values).max())
+    vals, probs = law.values, law.probs
+    out = {}
+    for n in range(1, max(lengths) + 1):
+        if n > 1:
+            vals, lab = _merge_rounded_sums((vals[:, None] + law.values).ravel(), n, scale)
+            probs = np.bincount(lab, weights=np.outer(probs, law.probs).ravel(), minlength=vals.size)
+            if vals.size > budget:
+                raise BudgetExceededError(
+                    f"enumeration budget exceeded: a {n}-term sum has {vals.size} support "
+                    f"points, over the budget of {budget} cell-support product atoms"
+                )
+        if n in lengths:
+            out[n] = (vals, probs)
+    return out
+
+
 def group_sums_joint(system: GroupSystem, law: DiscreteLaw, *, budget: int = ATOM_BUDGET) -> DiscreteJoint:
-    """Exact joint law of the block sums sum_{i in G_j} Y_i by enumeration."""
-    universe = system.universe
-    u = len(universe)
-    s = law.size
-    if s ** u > budget:
-        raise BudgetExceededError(f"enumeration budget exceeded: {s}^{u} atoms")
-    pos = {lab: i for i, lab in enumerate(universe)}
-    idx = _atom_grid(s, u)
-    weight = np.prod(law.probs[idx], axis=1)
-    yvals = law.values[idx]
-    sums = np.zeros((idx.shape[0], system.nvars))
-    for j, g in enumerate(system.groups):
-        cols = [pos[lab] for lab in sorted(g)]
-        sums[:, j] = yvals[:, cols].sum(axis=1)
+    """Exact joint law of the block sums sum_{i in G_j} Y_i from Venn-cell sums.
+
+    Labels in exactly the same groups form one Venn cell; the cell sums are
+    independent, each with the convolution power of the law for its size, and
+    every block sum is the sum of its cells' sums (for nested sums the cells
+    are the independent increments). The atoms are the product of the cells'
+    supports, at most ``budget`` of them, each with the product of its cells'
+    masses.
+    """
+    cells: dict[tuple[bool, ...], int] = {}
+    for lab in system.universe:
+        key = tuple(lab in g for g in system.groups)
+        cells[key] = cells.get(key, 0) + 1
+    laws = _sum_laws(law, set(cells.values()), budget)
+    cell_laws = [laws[n] for n in cells.values()]
+    shape = tuple(vals.size for vals, _ in cell_laws)
+    count = math.prod(shape)
+    if count > budget:
+        raise BudgetExceededError(
+            f"enumeration budget exceeded: {count} cell-support product atoms "
+            f"over {len(shape)} Venn cells"
+        )
+    grid = np.unravel_index(np.arange(count), shape)
+    weight = np.ones(count)
+    for (_, probs), ix in zip(cell_laws, grid):
+        weight *= probs[ix]
+    scale = float(np.abs(law.values).max())
     supports, atom_idx = [], []
     for j, g in enumerate(system.groups):
-        vals, inv = np.unique(sums[:, j], return_inverse=True)
-        # the same sum reached in another order may differ in its last bits;
-        # two roundings of a sum of n terms differ by at most n eps sum|y_i|
-        tol = len(g) ** 2 * np.finfo(float).eps * float(np.abs(law.values).max())
-        first = np.concatenate(([True], np.diff(vals) > tol))
-        supports.append(vals[first].tolist())
-        atom_idx.append((np.cumsum(first) - 1)[inv])
+        sums = np.zeros(count)
+        for key, (vals, _), ix in zip(cells, cell_laws, grid):
+            if key[j]:
+                sums += vals[ix]
+        vals, lab = _merge_rounded_sums(sums, len(g), scale)
+        supports.append(vals.tolist())
+        atom_idx.append(lab)
     return DiscreteJoint.from_atoms(supports, np.stack(atom_idx, axis=1), weight)
 
 

@@ -311,6 +311,22 @@ class TestErrorPaths:
         assert out["error"]["type"] == "ValidationError"
         assert "bins" in out["error"]["message"]
 
+    def test_ace_header_only_csv(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_text("x1,x2\n")
+        src = str(Path(nlcorr.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nlcorr.cli", "ace", "--input", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        error = json.loads(proc.stdout)["error"]
+        assert error["type"] == "ValidationError"
+        assert str(path) in error["message"]
+
     @pytest.mark.parametrize(
         "subcommand, payload, field",
         [
@@ -356,6 +372,12 @@ for label, argv in (
     with redirect_stdout(io.StringIO()):
         code = cli.run(argv)
     stages[label] = scipy_modules() if code == 0 else ["exit %d" % code]
+rademacher = nlcorr.DiscreteLaw.rademacher()
+nlcorr.nested_sums_joint([2, 7, 12, 18], rademacher)
+stages["nested_sums_joint"] = scipy_modules()
+nlcorr.group_sums_joint(
+    nlcorr.GroupSystem.from_lists([[1, 2, 3], [3, 4, 5], [1, 5, 6]]), rademacher)
+stages["group_sums_joint"] = scipy_modules()
 line = nlcorr.spectral_density(nlcorr.table_kernel("line", [1.0, 0.5, 0.0]), [0.0])
 out = io.StringIO()
 with redirect_stdout(out):
@@ -395,6 +417,7 @@ def test_trivial_subcommands_load_no_scipy(tmp_path):
     assert result["stages"] == {
         "import nlcorr": [], "nested": [], "eig": [], "hermite": [], "stationary ar1": [],
         "kernel": [], "stationary lattice": [], "stationary line": [], "ace": [],
+        "nested_sums_joint": [], "group_sums_joint": [],
     }
     # 2 * integral of the hat 1 - t/2 over [0, 2]
     assert result["line_density"] == pytest.approx(2.0, abs=1e-10)

@@ -1,10 +1,13 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_group_system, random_symmetric_table
+from helpers import enumerated_group_sums_joint, random_group_system, random_symmetric_table
 
 from nlcorr import (
     BudgetExceededError,
@@ -14,10 +17,13 @@ from nlcorr import (
     GroupSystem,
     ValidationError,
     assumption_c_check,
+    exact_extremes,
     extreme_symm,
     group_matrix,
+    group_sums_joint,
     hoeffding_decompose,
     nested_sum_matrix,
+    nested_sums_joint,
     product_basis,
     sin_construction_corr,
     solve_ct,
@@ -195,6 +201,150 @@ class TestExtremeSymm:
         joint = nested_sums_joint((2, 4, 7), law)
         assert joint.sizes == sizes
         assert joint.atom_idx.shape[0] == atoms
+
+
+LAWS = {
+    "rademacher": RADEMACHER,
+    "ternary": DiscreteLaw(values=np.array([-1.0, 0.0, 1.0]), probs=np.array([0.3, 0.3, 0.4])),
+    "sqrt2": DiscreteLaw(
+        values=np.array([0.0, 1.0, math.sqrt(2.0)]), probs=np.array([0.2, 0.5, 0.3])
+    ),
+    "skip-one": DiscreteLaw(values=np.array([-1.0, 0.0, 2.0]), probs=np.array([0.3, 0.4, 0.3])),
+    "skewed": DiscreteLaw(values=np.array([0.0, 1.0]), probs=np.array([0.9, 0.1])),
+}
+
+SYSTEMS = {
+    "nested": [[1, 2], [1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 6, 7]],
+    "repeated-m": [[1, 2, 3], [1, 2, 3]],
+    "disjoint": [[1, 2], [3, 4, 5], [6]],
+    "identical": [[2, 4, 6], [2, 4, 6], [1, 2]],
+    "contained": [[1, 2, 3, 4, 5, 6], [2, 3, 4], [5, 6, 7]],
+    "chain": [[1, 2, 3], [3, 4, 5], [5, 6, 7], [1, 7]],
+}
+
+
+def assert_same_joint(system, law, w):
+    joint = group_sums_joint(system, law)
+    reference = enumerated_group_sums_joint(system, law)
+    assert joint.sizes == reference.sizes
+    np.testing.assert_array_equal(joint.atom_idx, reference.atom_idx)
+    for got, want in zip(joint.supports, reference.supports):
+        # 1e-15 relative: a value above 8 has an ulp of 1.8e-15, and the two
+        # builders round their sums in different orders
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
+    # the reference adds up to s^u products per atom one after another, so its
+    # masses carry up to s^u eps relative error of their own
+    label_tuples = law.size ** len(system.universe)
+    np.testing.assert_allclose(
+        joint.atom_prob, reference.atom_prob,
+        rtol=label_tuples * np.finfo(float).eps, atol=1e-15,
+    )
+    res, ref = exact_extremes(joint, w), exact_extremes(reference, w)
+    assert res.rho_max == pytest.approx(ref.rho_max, abs=1e-12)
+    assert res.rho_min == pytest.approx(ref.rho_min, abs=1e-12)
+
+
+class TestGroupSumsJoint:
+    @pytest.mark.parametrize("law", LAWS.values(), ids=LAWS.keys())
+    @pytest.mark.parametrize("lists", SYSTEMS.values(), ids=SYSTEMS.keys())
+    def test_matches_enumeration(self, law, lists):
+        system = GroupSystem.from_lists(lists)
+        w = np.ones((system.nvars, system.nvars))
+        assert_same_joint(system, law, w)
+
+    @pytest.mark.parametrize("law", [LAWS[k] for k in ("rademacher", "ternary", "skewed")],
+                             ids=["rademacher", "ternary", "skewed"])
+    @pytest.mark.parametrize("lists", SYSTEMS.values(), ids=SYSTEMS.keys())
+    def test_masses_match_exact_rationals(self, law, lists):
+        # integer values keep every sum exact; the float probabilities are
+        # taken as the exact binary fractions they are
+        system = GroupSystem.from_lists(lists)
+        joint = group_sums_joint(system, law)
+        probs = [Fraction(q) for q in law.probs]
+        pos = {lab: i for i, lab in enumerate(system.universe)}
+        exact = {}
+        for tup in itertools.product(range(law.size), repeat=len(pos)):
+            key = tuple(sum(law.values[tup[pos[lab]]] for lab in g) for g in system.groups)
+            mass = math.prod((probs[i] for i in tup), start=Fraction(1))
+            exact[key] = exact.get(key, 0) + mass
+        got = {tuple(joint.supports[j][i] for j, i in enumerate(row)): float(q)
+               for row, q in zip(joint.atom_idx, joint.atom_prob)}
+        assert got.keys() == exact.keys()
+        assert max(abs(got[k] - exact[k]) for k in got) <= 1e-15
+
+    @pytest.mark.parametrize("law", LAWS.values(), ids=LAWS.keys())
+    def test_matches_enumeration_on_random_systems(self, rng, law):
+        universe = 12 if law.size == 2 else 8
+        for _ in range(6):
+            p = int(rng.integers(1, 5))
+            system = random_group_system(rng, p=p, universe=universe, common=False)
+            w = spectra.random_weight_matrix(p, rng)
+            assert_same_joint(system, law, w)
+
+    @given(
+        law=st.sampled_from(list(LAWS.values())),
+        lists=st.lists(
+            st.lists(st.integers(1, 8), min_size=1, max_size=8, unique=True),
+            min_size=1, max_size=4,
+        ),
+    )
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    def test_matches_enumeration_property(self, law, lists):
+        system = GroupSystem.from_lists(lists)
+        w = np.ones((system.nvars, system.nvars))
+        assert_same_joint(system, law, w)
+
+    @pytest.mark.parametrize(
+        "law, m",
+        [
+            (RADEMACHER, (100, 250)),
+            (RADEMACHER, (40, 100, 180)),
+            (LAWS["ternary"], (30, 80)),
+        ],
+        ids=["rademacher-100-250", "rademacher-40-100-180", "ternary-30-80"],
+    )
+    def test_nested_sums_in_the_hundreds(self, law, m):
+        joint = nested_sums_joint(m, law)
+        res = exact_extremes(joint, np.ones((len(m), len(m))))
+        lo, hi = spectra.extreme_eigs(nested_sum_matrix(m))
+        assert res.rho_max == pytest.approx(hi, abs=1e-9)
+        assert res.rho_min == pytest.approx(lo, abs=1e-9)
+
+    def test_group_system_over_two_hundred_labels(self, rng):
+        system = GroupSystem.from_lists([
+            range(1, 101), [1, *range(101, 201)], range(1, 201), [1, *range(181, 201)],
+        ])
+        assert len(system.universe) == 200
+        assert assumption_c_check(system).feasible
+        w = spectra.random_weight_matrix(4, rng)
+        res = exact_extremes(group_sums_joint(system, RADEMACHER), w)
+        lo, hi = spectra.extreme_eigs(group_matrix(system, 1).matrix * w)
+        assert res.rho_max == pytest.approx(hi, abs=1e-9)
+        assert res.rho_min == pytest.approx(lo, abs=1e-9)
+
+    def test_budget_counts_cell_product_atoms(self):
+        # three cells of 300 labels: 301^3 product atoms
+        with pytest.raises(BudgetExceededError, match="27270901 cell-support product atoms"):
+            nested_sums_joint((300, 600, 900), RADEMACHER)
+        # cells of 2, 5 and 5 labels: 3 * 6 * 6 = 108 product atoms
+        assert nested_sums_joint((2, 7, 12), RADEMACHER, budget=108).sizes == (3, 8, 13)
+        with pytest.raises(BudgetExceededError, match="108 cell-support product atoms"):
+            nested_sums_joint((2, 7, 12), RADEMACHER, budget=107)
+        # a single cell whose sum alone has too many support points
+        with pytest.raises(BudgetExceededError, match="support points"):
+            nested_sums_joint((50,), RADEMACHER, budget=20)
+
+    def test_non_lattice_sums_merge_at_every_length(self):
+        # each convolution power and each block sum merges rounding splits:
+        # a + b sqrt 2 with a + b <= m gives (m+1)(m+2)/2 support points
+        joint = nested_sums_joint((5, 12, 20), LAWS["sqrt2"])
+        assert joint.sizes == (21, 91, 231)
+        # cells of 5, 7 and 8 labels: 21 * 36 * 45 product atoms, no more
+        nested_sums_joint((5, 12, 20), LAWS["sqrt2"], budget=21 * 36 * 45)
+        res = exact_extremes(joint, np.ones((3, 3)))
+        lo, hi = spectra.extreme_eigs(nested_sum_matrix((5, 12, 20)))
+        assert res.rho_max == pytest.approx(hi, abs=1e-12)
+        assert res.rho_min == pytest.approx(lo, abs=1e-12)
 
 
 class TestShadowSystem:
