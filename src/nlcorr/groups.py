@@ -668,21 +668,42 @@ def group_sums_joint(system: GroupSystem, law: DiscreteLaw, *, budget: int = ATO
             f"enumeration budget exceeded: {count} cell-support product atoms "
             f"over {len(shape)} Venn cells"
         )
-    grid = np.unravel_index(np.arange(count), shape)
-    weight = np.ones(count)
-    for (_, probs), ix in zip(cell_laws, grid):
-        weight *= probs[ix]
+    # the atoms fill a C-order grid with one axis per cell; a block sum varies
+    # only along its own cells' axes, so it is summed and labelled on that
+    # sub-grid and broadcast to the full grid
+    def along(c: int, a: np.ndarray) -> np.ndarray:
+        return a.reshape([-1 if i == c else 1 for i in range(len(shape))])
+
+    weight = cell_laws[0][1]
+    for _, probs in cell_laws[1:]:
+        weight = np.multiply.outer(weight, probs)
     scale = float(np.abs(law.values).max())
-    supports, atom_idx = [], []
+    supports, labels = [], []
     for j, g in enumerate(system.groups):
-        sums = np.zeros(count)
-        for key, (vals, _), ix in zip(cells, cell_laws, grid):
+        sums = np.zeros([1] * len(shape))
+        for c, (key, (vals, _)) in enumerate(zip(cells, cell_laws)):
             if key[j]:
-                sums += vals[ix]
-        vals, lab = _merge_rounded_sums(sums, len(g), scale)
+                sums = sums + along(c, vals)
+        vals, lab = _merge_rounded_sums(sums.ravel(), len(g), scale)
         supports.append(vals.tolist())
-        atom_idx.append(lab)
-    return DiscreteJoint.from_atoms(supports, np.stack(atom_idx, axis=1), weight)
+        labels.append(lab.reshape(sums.shape))
+    # product atoms with the same label in every block are one atom of the
+    # joint. When the labels' mixed-radix code (block 0 most significant, so
+    # codes sort as label rows do) fits in int64, they are merged here by code,
+    # built on the sub-grids, so that no (count, p) label array is formed
+    sizes = [len(s) for s in supports]
+    if math.prod(sizes) >= 2 ** 63:
+        idx = np.stack([np.broadcast_to(lab, shape).ravel() for lab in labels], axis=1)
+        return DiscreteJoint.from_atoms(supports, idx, weight.ravel())
+    code = np.zeros([1] * len(shape), dtype=np.int64)
+    for lab, n in zip(labels, sizes):
+        code = code * n + lab
+    code, inv = np.unique(code.ravel(), return_inverse=True)
+    mass = np.bincount(inv, weights=weight.ravel())
+    idx = np.empty((code.size, len(sizes)), dtype=np.int64)
+    for j in reversed(range(len(sizes))):
+        code, idx[:, j] = np.divmod(code, sizes[j])
+    return DiscreteJoint.from_atoms(supports, idx, mass)
 
 
 def nested_sums_joint(m, law: DiscreteLaw, *, budget: int = ATOM_BUDGET) -> DiscreteJoint:

@@ -32,6 +32,7 @@ tables straight from the codes, so no atom of the n-sample joint is built.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Protocol, Sequence
@@ -121,7 +122,7 @@ class DiscreteJoint:
             if np.any(idx[:, j] < 0) or np.any(idx[:, j] >= len(s)):
                 raise ValidationError(f"atom index out of range for variable {j}")
         # merge duplicated atoms
-        uniq, inverse = np.unique(idx, axis=0, return_inverse=True)
+        uniq, inverse = _unique_rows(idx, [len(s) for s in supports])
         mass = np.bincount(inverse, weights=prob, minlength=uniq.shape[0])
         keep = mass > 0.0
         uniq, mass = uniq[keep], mass[keep]
@@ -199,6 +200,23 @@ class DiscreteJoint:
     def load(cls, path) -> "DiscreteJoint":
         with Path(path).open() as fh:
             return cls.from_json_dict(json.load(fh))
+
+
+def _unique_rows(idx: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(idx, axis=0, return_inverse=True)`` for index rows below ``sizes``.
+
+    Rows are sorted through their mixed-radix code (first column most
+    significant), which orders them as the row sort does, so a single 1-d
+    integer sort replaces the row-wise one whenever the codes fit in int64.
+    """
+    if math.prod(sizes) >= 2 ** 63:
+        uniq, inverse = np.unique(idx, axis=0, return_inverse=True)
+        return uniq, inverse.ravel()
+    code = np.zeros(idx.shape[0], dtype=np.int64)
+    for j, n in enumerate(sizes):
+        code = code * n + idx[:, j]
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    return idx[first], inverse
 
 
 # ---------------------------------------------------------------------------

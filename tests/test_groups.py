@@ -294,6 +294,16 @@ class TestGroupSumsJoint:
         w = np.ones((system.nvars, system.nvars))
         assert_same_joint(system, law, w)
 
+    def test_many_blocks_over_few_cells(self):
+        # every union of four 2-label cells, three times over: 81 product
+        # atoms, but the 45 support sizes multiply to about 2e31, past the
+        # int64 label code, so the atoms go to from_atoms unmerged
+        cells = [[1, 2], [3, 4], [5, 6], [7, 8]]
+        unions = [sum(pick, []) for r in range(1, 5) for pick in itertools.combinations(cells, r)]
+        system = GroupSystem.from_lists(unions * 3)
+        assert math.prod(group_sums_joint(system, RADEMACHER).sizes) >= 2 ** 63
+        assert_same_joint(system, RADEMACHER, np.ones((45, 45)))
+
     @pytest.mark.parametrize(
         "law, m",
         [

@@ -60,6 +60,23 @@ class TestDiscreteJoint:
         assert j.atom_prob.size == 2
         np.testing.assert_allclose(sorted(j.atom_prob), [0.5, 0.5])
 
+    @pytest.mark.parametrize("p, size", [(3, 5), (22, 8)], ids=["int64-code", "row-sort"])
+    def test_duplicate_atoms_merged_in_row_order(self, rng, p, size):
+        # 8^22 = 2^66 index codes do not fit in int64, so that case sorts rows
+        distinct = rng.integers(0, size, size=(60, p))
+        idx = distinct[rng.integers(0, 60, size=500)]
+        prob = rng.random(500)
+        prob /= prob.sum()
+        j = DiscreteJoint.from_atoms([list(range(size))] * p, idx, prob)
+        want: dict = {}
+        for row, q in zip(map(tuple, idx.tolist()), prob):
+            want[row] = want.get(row, 0.0) + q
+        got = {tuple(j.supports[k][i] for k, i in enumerate(row)): q
+               for row, q in zip(j.atom_idx.tolist(), j.atom_prob)}
+        assert got.keys() == want.keys()
+        assert max(abs(got[k] - want[k]) for k in got) <= 1e-15
+        assert j.atom_idx.tolist() == sorted(j.atom_idx.tolist())
+
     def test_bivariate_and_marginal_consistency(self, rng):
         j = random_joint(rng, (3, 4, 2))
         p01 = j.bivariate(0, 1)
