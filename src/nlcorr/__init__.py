@@ -69,7 +69,6 @@ from .groups import (
     hoeffding_decompose,
     nested_sum_matrix,
     nested_sums_joint,
-    product_basis,
     sin_construction_corr,
     solve_ct,
 )

@@ -201,9 +201,7 @@ def _cmd_hoeffding(args):
 def _cmd_sinlimit(args):
     law = _law_from_cli(args.law)
     m = _parse_int_list(args.m)
-    res = groups.sin_construction_corr(
-        args.t, m, law, seed=args.seed, method=args.method
-    )
+    res = groups.sin_construction_corr(args.t, m, law)
     r = groups.nested_sum_matrix(m)
     results = {
         "t": args.t,
@@ -213,14 +211,11 @@ def _cmd_sinlimit(args):
         "R": r.tolist(),
         "max_abs_gap": float(np.max(np.abs(res.corr - r))),
     }
-    if res.std_error is not None:
-        results["std_error"] = res.std_error.tolist()
     if args.curve:
         ts = np.logspace(np.log10(args.t), 0.0, 20)
         rows = []
         for t in ts:
-            c = groups.sin_construction_corr(float(t), m, law, seed=args.seed,
-                                             method=args.method)
+            c = groups.sin_construction_corr(float(t), m, law)
             rows.append((float(t), float(np.max(np.abs(c.corr - r)))))
         write_curve(args.curve, ("t", "max_abs_gap"), rows)
     return results, {"limit_gap_at_1e-3": 1e-3}, []
@@ -410,8 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rademacher|bernoulli(p)|cauchy or a tabulated-law JSON path")
     p.add_argument("--m", required=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--method", default="auto",
-                   choices=["auto", "enumerate", "analytic", "mc"])
     common(p, curve=True)
 
     p = sub.add_parser("stationary", help="spectral density extremes of a stationary kernel")
@@ -458,7 +451,9 @@ def run(argv=None) -> int:
         text = write_report(report, args.out)
         sys.stdout.write(text)
         return 0
-    except NLCorrError as exc:
+    except (NLCorrError, ArithmeticError, RecursionError) as exc:
+        # a valid input past a float range or the recursion limit is reported
+        # under its own exception name, like a domain error
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stdout.write(canonical_json(error) + "\n")
         return 1

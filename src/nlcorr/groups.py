@@ -14,13 +14,13 @@ one iid sequence:
 - the Hoeffding decomposition of a symmetric tabulated function into pure
   interaction orders, with its reconstruction, conditional-mean-zero, and
   variance identities,
-- the normalized elementary-symmetric product functions that attain R^(l),
 - exact joint laws of the block sums for the finite-support oracle, built
   from independent Venn-cell sums (labels in exactly the same groups) and
   the law's convolution powers, never from the s^u label tuples,
 - the sin-transform construction sin(t S - m c_t) whose correlations converge
   to R as t -> 0+ even without second moments; c_t in (-pi/2, pi/2) solves
-  E[sin(tY - c_t)] = 0.
+  E[sin(tY - c_t)] = 0, and the correlations follow exactly from the law's
+  characteristic function, for any t and sum length.
 """
 
 from __future__ import annotations
@@ -43,12 +43,6 @@ from .spectra import as_corr_matrix, as_weight_matrix, full_spectrum
 
 ATOM_BUDGET = 10 ** 6
 EXACT_TOL = 1e-12
-
-
-def _atom_grid(size: int, width: int) -> np.ndarray:
-    """All index tuples of support^width as an (size^width, width) array."""
-    flat = np.arange(size ** width)
-    return np.stack(np.unravel_index(flat, (size,) * width), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +92,22 @@ class DiscreteLaw:
             float(self.probs @ np.sin(t * self.values)),
         )
 
+    def log_abs_cf(self, s: float) -> float:
+        """log|E e^{isY}|, free of cancellation at both ends of |phi| in [0, 1].
+
+        Near |phi| = 1 the pair form 1 - |phi|^2 = 2 sum_ab p_a p_b
+        sin^2(s(a - b)/2) keeps 1 - |phi| to full relative accuracy; below
+        |phi|^2 = 1/2 the moments give |phi| directly, which the pair form
+        would lose to cancellation as |phi| -> 0. Returns -inf at phi = 0.
+        """
+        c, sn = self.trig_moments(s)
+        if c * c + sn * sn < 0.5:
+            mod = math.hypot(c, sn)
+            return math.log(mod) if mod > 0.0 else -math.inf
+        diffs = self.values[:, None] - self.values[None, :]
+        pair_sum = float(self.probs @ np.sin(s * diffs / 2.0) ** 2 @ self.probs)
+        return 0.5 * math.log1p(-2.0 * pair_sum)
+
     @classmethod
     def rademacher(cls) -> "DiscreteLaw":
         return cls(values=np.array([-1.0, 1.0]), probs=np.array([0.5, 0.5]))
@@ -115,6 +125,10 @@ class CauchyLaw:
 
     def trig_moments(self, t: float) -> tuple[float, float]:
         return (math.exp(-abs(t)), 0.0)
+
+    def log_abs_cf(self, s: float) -> float:
+        """log|E e^{isY}| = -|s|."""
+        return -abs(s)
 
 
 def named_law(name: str):
@@ -514,89 +528,6 @@ def hoeffding_decompose(
 
 
 # ---------------------------------------------------------------------------
-# attainment: elementary symmetric products
-# ---------------------------------------------------------------------------
-
-
-def standardize_h0(h0_values, law: DiscreteLaw) -> np.ndarray:
-    """Center and scale a tabulated seed function to mean 0, variance 1."""
-    h = np.asarray(h0_values, dtype=float)
-    if h.shape != law.values.shape:
-        raise ValidationError("h0 must be tabulated on the law support")
-    h = h - float(law.probs @ h)
-    var = float(law.probs @ h ** 2)
-    if var <= 0.0:
-        raise DegenerateInputError("h0 has zero variance under the law")
-    return h / math.sqrt(var)
-
-
-def elementary_symmetric(values: np.ndarray, ell: int, axis: int = -1) -> np.ndarray:
-    """Elementary symmetric polynomial e_l across one axis of an array."""
-    vals = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
-    e = np.zeros((ell + 1,) + vals.shape[1:])
-    e[0] = 1.0
-    for v in vals:
-        for k in range(ell, 0, -1):
-            e[k] = e[k] + e[k - 1] * v
-    return e[ell]
-
-
-def product_basis(
-    system: GroupSystem, j: int, ell: int, h0_values, law: DiscreteLaw
-) -> np.ndarray:
-    """The normalized order-l product function of block j, tabulated on support^m_j.
-
-    C(m_j, l)^{-1/2} sum_{|S| = l} prod_{i in S} h0(Y_i), with h0 standardized
-    to mean 0 and variance 1; the result has unit variance and its
-    cross-covariances across blocks reproduce R^(l).
-    """
-    if not 0 <= j < system.nvars:
-        raise ValidationError(f"block index {j} out of range")
-    mj = system.sizes[j]
-    if not 1 <= ell <= mj:
-        raise ValidationError(f"order {ell} exceeds block size {mj}")
-    h = standardize_h0(h0_values, law)
-    s = law.size
-    if s ** mj > ATOM_BUDGET:
-        raise BudgetExceededError(f"enumeration budget exceeded: {s}^{mj} atoms")
-    grids = np.indices((s,) * mj)
-    hvals = h[grids]  # shape (mj, s, ..., s)
-    e = elementary_symmetric(hvals, ell, axis=0)
-    return e / math.sqrt(math.comb(mj, ell))
-
-
-def group_cross_cov(
-    system: GroupSystem, ell: int, h0_values, law: DiscreteLaw
-) -> np.ndarray:
-    """Exact covariance matrix of the order-l product functions across blocks.
-
-    Enumerates the label universe; entries for inactive blocks are zero. Used
-    as the attainment cross-check against the R^(l) formula.
-    """
-    universe = system.universe
-    u = len(universe)
-    s = law.size
-    if s ** u > ATOM_BUDGET:
-        raise BudgetExceededError(f"enumeration budget exceeded: {s}^{u} atoms")
-    h = standardize_h0(h0_values, law)
-    pos = {lab: i for i, lab in enumerate(universe)}
-    idx = _atom_grid(s, u)
-    weight = np.prod(law.probs[idx], axis=1)
-    hvals = h[idx]  # (atoms, u)
-    p = system.nvars
-    feats = np.zeros((idx.shape[0], p))
-    for j, g in enumerate(system.groups):
-        if system.sizes[j] < ell:
-            continue
-        cols = [pos[lab] for lab in sorted(g)]
-        e = elementary_symmetric(hvals[:, cols], ell, axis=1)
-        feats[:, j] = e / math.sqrt(math.comb(len(cols), ell))
-    mu = weight @ feats
-    centered = feats - mu
-    return (centered * weight[:, None]).T @ centered
-
-
-# ---------------------------------------------------------------------------
 # iid-sum joints for the exact oracle
 #
 # A block sum splits into independent sums over Venn cells, the sets of
@@ -751,128 +682,54 @@ class SinConstructionResult:
     corr: np.ndarray
     c_t: float
     t: float
-    method: str
-    std_error: np.ndarray | None = None
+    method: str = "analytic"
 
 
-def _sin_corr_analytic(t: float, m: Sequence[int], law) -> tuple[np.ndarray, float]:
-    """Exact correlations of sin(t S_m - m c_t) from trig moments.
+def sin_construction_corr(t: float, m, law) -> SinConstructionResult:
+    """Correlation matrix of sin(t S_{m_j} - m_j c_t) for nested sums of the law.
 
-    With Y' = tY - c_t: E sin(sum Y') = 0, E cos(sum over k terms) = alpha^k
-    for alpha = E cos(Y'), and E sin^2(S'_k) = (1 - Re(z^k))/2 where z is the
-    characteristic value of 2Y'. Independence of increments gives
-    corr(j, k) = alpha^{m_k - m_j} sqrt(E sin^2 S'_{m_j} / E sin^2 S'_{m_k}).
+    Entries converge to the nested-sum matrix entrywise as t -> 0+, which
+    realizes the extreme correlations without any moment condition. They are
+    exact for every law with a characteristic function, from independent
+    increments: with Y' = tY - c_t, alpha = E cos Y' and S'_k a sum of k
+    terms, corr = alpha^{b - a} sqrt(E sin^2 S'_a / E sin^2 S'_b) for a <= b.
+    With r e^{i theta} = E e^{2iY'}, E sin^2 S'_k = (1 - r^k cos k theta)/2 is
+    evaluated as (-expm1(k log r) + 2 r^k sin^2(k theta / 2))/2, so it keeps
+    full relative accuracy as t -> 0+ (r -> 1) and at r = 0.
     """
+    mv = [int(x) for x in m]
+    if not mv or any(x < 1 for x in mv):
+        raise ValidationError("need one or more positive sum lengths")
     ct = solve_ct(t, law)
     ec, es = law.trig_moments(t)
     alpha = math.cos(ct) * ec + math.sin(ct) * es
     ec2, es2 = law.trig_moments(2.0 * t)
-    z = complex(ec2, es2) * complex(math.cos(2 * ct), -math.sin(2 * ct))
-    sin2 = np.array([(1.0 - (z ** k).real) / 2.0 for k in m])
-    if np.any(sin2 <= 0):
+    theta = math.atan2(es2, ec2) - 2.0 * ct
+    log_r = law.log_abs_cf(2.0 * t)  # -inf where r = 0, giving r^k = 0
+
+    def sin2(k: np.ndarray) -> np.ndarray:
+        """E sin^2 S'_k."""
+        k_log_r = k * log_r
+        return (-np.expm1(k_log_r) + 2.0 * np.exp(k_log_r) * np.sin(k * theta / 2.0) ** 2) / 2.0
+
+    k = np.asarray(mv, dtype=np.int64)
+    lo, hi = np.minimum.outer(k, k), np.maximum.outer(k, k)
+    sin2_lo = sin2(lo)  # every sum length is on its diagonal
+    if np.any(sin2_lo <= 0):
         raise DegenerateInputError("sin transform is degenerate at this t")
-    p = len(m)
-    corr = np.eye(p)
-    for j in range(p):
-        for k in range(p):
-            lo, hi = min(m[j], m[k]), max(m[j], m[k])
-            slo = (1.0 - (z ** lo).real) / 2.0
-            shi = (1.0 - (z ** hi).real) / 2.0
-            corr[j, k] = alpha ** (hi - lo) * math.sqrt(slo / shi)
-    return corr, ct
-
-
-def _sin_corr_enumerate(t: float, m: Sequence[int], law: DiscreteLaw) -> tuple[np.ndarray, float]:
-    ct = solve_ct(t, law)
-    mp = max(m)
-    s = law.size
-    idx = _atom_grid(s, mp)
-    weight = np.prod(law.probs[idx], axis=1)
-    sums = np.cumsum(law.values[idx], axis=1)
-    cols = np.array([mi - 1 for mi in m])
-    feats = np.sin(t * sums[:, cols] - np.asarray(m, dtype=float) * ct)
-    mu = weight @ feats
-    centered = feats - mu
-    cov = (centered * weight[:, None]).T @ centered
-    d = np.sqrt(np.diag(cov))
-    if np.any(d <= 0):
-        raise DegenerateInputError("sin transform is degenerate at this t")
-    return cov / np.outer(d, d), ct
-
-
-def _sin_corr_mc(
-    t: float, m: Sequence[int], law: DiscreteLaw, *, n_samples: int, seed: int
-) -> tuple[np.ndarray, float, np.ndarray]:
-    ct = solve_ct(t, law)
-    rng = np.random.default_rng(seed)
-    mp = max(m)
-    batches = 10
-    per = n_samples // batches
-    cols = np.array([mi - 1 for mi in m])
-    ms = np.asarray(m, dtype=float)
-    corrs = []
-    for _ in range(batches):
-        draws = rng.choice(law.values, p=law.probs, size=(per, mp))
-        feats = np.sin(t * np.cumsum(draws, axis=1)[:, cols] - ms * ct)
-        corrs.append(np.corrcoef(feats, rowvar=False))
-    stack = np.stack(corrs)
-    return stack.mean(axis=0), ct, stack.std(axis=0, ddof=1) / math.sqrt(batches)
-
-
-def sin_construction_corr(
-    t: float,
-    m,
-    law,
-    *,
-    method: str = "auto",
-    budget: int = ATOM_BUDGET,
-    n_samples: int = 10 ** 6,
-    seed: int = 0,
-) -> SinConstructionResult:
-    """Correlation matrix of sin(t S_{m_j} - m_j c_t) for nested sums of the law.
-
-    Entries converge to the nested-sum matrix entrywise as t -> 0+, which
-    realizes the extreme correlations without any moment condition. Discrete
-    laws are enumerated exactly within the atom budget (falling back to Monte
-    Carlo with reported standard errors beyond it); laws with closed-form
-    characteristic functions take the analytic path, which is also exact.
-    """
-    mv = [int(x) for x in m]
-    if any(x < 1 for x in mv):
-        raise ValidationError("sum lengths must be positive")
-    if method not in ("auto", "enumerate", "analytic", "mc"):
-        raise ValidationError(f"unknown method {method!r}")
-    if method == "auto":
-        if isinstance(law, DiscreteLaw):
-            method = "enumerate" if law.size ** max(mv) <= budget else "mc"
-        else:
-            method = "analytic"
-    if method == "enumerate":
-        if not isinstance(law, DiscreteLaw):
-            raise ValidationError("enumeration requires a discrete law")
-        if law.size ** max(mv) > budget:
-            raise BudgetExceededError(
-                f"enumeration budget exceeded: {law.size}^{max(mv)} atoms"
-            )
-        corr, ct = _sin_corr_enumerate(t, mv, law)
-        return SinConstructionResult(corr=corr, c_t=ct, t=t, method=method)
-    if method == "analytic":
-        corr, ct = _sin_corr_analytic(t, mv, law)
-        return SinConstructionResult(corr=corr, c_t=ct, t=t, method=method)
-    if not isinstance(law, DiscreteLaw):
-        raise ValidationError("Monte Carlo sampling requires a discrete law")
-    corr, ct, se = _sin_corr_mc(t, mv, law, n_samples=n_samples, seed=seed)
-    return SinConstructionResult(corr=corr, c_t=ct, t=t, method="mc", std_error=se)
+    corr = alpha ** (hi - lo) * np.sqrt(sin2_lo / sin2(hi))
+    return SinConstructionResult(corr=corr, c_t=ct, t=t)
 
 
 def cauchy_sin_corr_closed_form(t: float, m_small: int, m_large: int) -> float:
     """Reference value for the standard Cauchy sin construction.
 
     e^{-(n - m) t} sqrt((1 - e^{-2 m t}) / (1 - e^{-2 n t})) for m <= n, from
-    the product expansion of the characteristic function.
+    the product expansion of the characteristic function; both differences
+    are taken by expm1, so the value keeps full accuracy as t -> 0+.
     """
     if m_small > m_large:
         m_small, m_large = m_large, m_small
     return math.exp(-(m_large - m_small) * t) * math.sqrt(
-        (1.0 - math.exp(-2.0 * m_small * t)) / (1.0 - math.exp(-2.0 * m_large * t))
+        math.expm1(-2.0 * m_small * t) / math.expm1(-2.0 * m_large * t)
     )

@@ -157,9 +157,6 @@ class DiscreteJoint:
         flat = self.atom_idx[:, j] * sk + self.atom_idx[:, k]
         return np.bincount(flat, weights=self.atom_prob, minlength=sj * sk).reshape(sj, sk)
 
-    def support_values(self, j: int) -> np.ndarray:
-        return np.asarray(self.supports[j], dtype=float)
-
     @classmethod
     def from_samples(cls, columns: Sequence[np.ndarray]) -> "DiscreteJoint":
         """Empirical joint of already-discrete columns of equal length."""

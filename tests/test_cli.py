@@ -144,6 +144,21 @@ class TestSubcommands:
         assert report["results"]["method"] == "analytic"
         assert report["results"]["max_abs_gap"] <= 1e-3
 
+    def test_sinlimit_exact_past_enumeration(self, capsys):
+        m, t = [2, 7, 12, 25], 0.3
+        code, report = run_json(
+            capsys, ["sinlimit", "--law", "rademacher", "--m", "2,7,12,25", "--t", "0.3"]
+        )
+        assert code == 0
+        res = report["results"]
+        assert res["method"] == "analytic"
+        assert "std_error" not in res
+        # Rademacher: alpha = cos t and E sin^2 S'_k = (1 - cos^k 2t)/2
+        c, c2 = np.cos(t), np.cos(2 * t)
+        want = [[c ** abs(b - a) * np.sqrt((1 - c2 ** min(a, b)) / (1 - c2 ** max(a, b)))
+                 for b in m] for a in m]
+        np.testing.assert_allclose(res["corr"], want, rtol=0, atol=1e-13)
+
     def test_sinlimit_tabulated_law_file(self, capsys, tmp_path):
         path = tmp_path / "law.json"
         path.write_text(json.dumps({"values": [0.0, 1.0], "probs": [0.7, 0.3]}))
@@ -260,6 +275,35 @@ class TestErrorPaths:
     def test_removed_flags_usage_error(self, capsys, flag):
         assert cli.run(["nested", "--m", "1,2", *flag]) == 2
 
+    def test_sinlimit_method_flag_removed(self, capsys):
+        assert cli.run(["sinlimit", "--m", "1,2", "--t", "0.1", "--method", "mc"]) == 2
+
+    @pytest.mark.parametrize(
+        "groups, error",
+        [
+            # math.comb(1200, l) products past the float range in group_matrix
+            ([list(range(1, 1201)), list(range(600, 1801))], "OverflowError"),
+            # ten groups with no common label: the shadow search recurses once
+            # per subset of groups, past the default recursion limit
+            ([[4, 6], [2, 6, 7, 8, 11, 12], [5, 7, 8], [1, 2, 4, 6, 7, 8], [9, 10],
+              [1, 3, 5, 9, 11, 12], [2, 3, 4, 5, 6, 8, 9], [1, 3], [1, 2, 6, 11, 12],
+              [5, 8, 10, 11, 12]], "RecursionError"),
+        ],
+    )
+    def test_valid_groups_past_a_limit_give_no_traceback(self, tmp_path, groups, error):
+        path = tmp_path / "groups.json"
+        path.write_text(json.dumps({"groups": groups}))
+        src = str(Path(nlcorr.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nlcorr.cli", "groups", "--input", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["error"]["type"] == error
+
     @pytest.mark.parametrize("subcommand", ["stationary", "groups"])
     def test_non_object_json_input(self, capsys, tmp_path, subcommand):
         path = tmp_path / "input.json"
@@ -368,7 +412,8 @@ for label, argv in (
         ("kernel", ["kernel", "--n", "50,100,200"]),
         ("stationary lattice", ["stationary", "--input", lattice, "--crosscheck", "50"]),
         ("stationary line", ["stationary", "--input", line]),
-        ("ace", ["ace", "--input", samples, "--bins", "4"])):
+        ("ace", ["ace", "--input", samples, "--bins", "4"]),
+        ("sinlimit", ["sinlimit", "--law", "rademacher", "--m", "2,7,12,25", "--t", "0.3"])):
     with redirect_stdout(io.StringIO()):
         code = cli.run(argv)
     stages[label] = scipy_modules() if code == 0 else ["exit %d" % code]
@@ -417,7 +462,7 @@ def test_trivial_subcommands_load_no_scipy(tmp_path):
     assert result["stages"] == {
         "import nlcorr": [], "nested": [], "eig": [], "hermite": [], "stationary ar1": [],
         "kernel": [], "stationary lattice": [], "stationary line": [], "ace": [],
-        "nested_sums_joint": [], "group_sums_joint": [],
+        "sinlimit": [], "nested_sums_joint": [], "group_sums_joint": [],
     }
     # 2 * integral of the hat 1 - t/2 over [0, 2]
     assert result["line_density"] == pytest.approx(2.0, abs=1e-10)

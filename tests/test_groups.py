@@ -4,10 +4,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import enumerated_group_sums_joint, random_group_system, random_symmetric_table
+from helpers import (
+    enumerated_group_sums_joint,
+    group_cross_cov,
+    product_basis,
+    random_group_system,
+    random_symmetric_table,
+    sin_corr_enumerate,
+)
 
 from nlcorr import (
     BudgetExceededError,
@@ -24,16 +31,11 @@ from nlcorr import (
     hoeffding_decompose,
     nested_sum_matrix,
     nested_sums_joint,
-    product_basis,
     sin_construction_corr,
     solve_ct,
 )
 from nlcorr import spectra
-from nlcorr.groups import (
-    cauchy_sin_corr_closed_form,
-    group_cross_cov,
-    _product_weights,
-)
+from nlcorr.groups import cauchy_sin_corr_closed_form, _product_weights
 
 RADEMACHER = DiscreteLaw.rademacher()
 SQRT_HALF = math.sqrt(0.5)
@@ -566,10 +568,10 @@ class TestSinConstruction:
     def test_enumeration_matches_analytic_path(self):
         law = DiscreteLaw.bernoulli(0.3)
         for t in (0.3, 0.05):
-            enum = sin_construction_corr(t, [1, 2, 4], law, method="enumerate")
-            anal = sin_construction_corr(t, [1, 2, 4], law, method="analytic")
-            np.testing.assert_allclose(enum.corr, anal.corr, atol=1e-11)
-            assert enum.c_t == pytest.approx(anal.c_t, abs=1e-15)
+            enum, enum_ct = sin_corr_enumerate(t, [1, 2, 4], law)
+            anal = sin_construction_corr(t, [1, 2, 4], law)
+            np.testing.assert_allclose(enum, anal.corr, atol=1e-11)
+            assert enum_ct == pytest.approx(anal.c_t, abs=1e-15)
 
     def test_cauchy_closed_form(self):
         m = [1, 2, 3]
@@ -579,6 +581,16 @@ class TestSinConstruction:
             for k in range(3):
                 want = cauchy_sin_corr_closed_form(0.05, m[j], m[k])
                 assert res.corr[j, k] == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("t", [1e-12, 1e-9, 1e-5, 1e-3, 0.5])
+    def test_cauchy_closed_form_is_cancellation_free(self, t):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            tt = mpmath.mpf(t)
+            for a, b in ((1, 2), (1, 3), (2, 3), (2, 7)):
+                want = mpmath.exp(-(b - a) * tt) * mpmath.sqrt(
+                    (1 - mpmath.exp(-2 * a * tt)) / (1 - mpmath.exp(-2 * b * tt)))
+                assert abs(cauchy_sin_corr_closed_form(t, a, b) - float(want)) <= 1e-15
 
     def test_cauchy_approaches_nested_matrix(self):
         m = [1, 2, 3]
@@ -603,25 +615,71 @@ class TestSinConstruction:
         for g, t in zip(gaps, ts):
             assert g <= c * t + 1e-12
 
-    def test_monte_carlo_fallback_reports_errors(self):
-        law = DiscreteLaw.bernoulli(0.3)
-        res = sin_construction_corr(
-            0.05, [1, 2], law, method="mc", n_samples=200_000, seed=4
-        )
-        exact = sin_construction_corr(0.05, [1, 2], law, method="enumerate")
-        assert res.std_error is not None
-        assert abs(res.corr[0, 1] - exact.corr[0, 1]) <= 6 * res.std_error[0, 1] + 1e-4
+    def test_rademacher_pair_is_sqrt_half_down_to_tiny_t(self):
+        # alpha = cos t and E sin^2 S'_k = (1 - cos^k 2t)/2 make the (1, 2)
+        # entry exactly sqrt(1/2) wherever cos t > 0
+        for t in np.logspace(-9.0, 0.0, 20):
+            res = sin_construction_corr(float(t), [1, 2], RADEMACHER)
+            assert abs(res.corr[0, 1] - SQRT_HALF) <= 1e-14
 
-    def test_auto_falls_back_beyond_budget(self):
-        law = DiscreteLaw.bernoulli(0.3)
-        res = sin_construction_corr(
-            0.05, [1, 25], law, budget=2 ** 20, n_samples=20_000, seed=1
-        )
-        assert res.method == "mc"
+    def test_cauchy_matches_closed_form_down_to_tiny_t(self):
+        m = [1, 2, 3]
+        for t in np.logspace(-9.0, 0.0, 20):
+            res = sin_construction_corr(float(t), m, CauchyLaw())
+            want = [[cauchy_sin_corr_closed_form(float(t), a, b) for b in m] for a in m]
+            np.testing.assert_allclose(res.corr, want, rtol=0, atol=1e-13)
 
-    def test_enumeration_budget_guard(self):
-        with pytest.raises(BudgetExceededError):
-            sin_construction_corr(
-                0.05, [1, 25], DiscreteLaw.bernoulli(0.3), method="enumerate",
-                budget=2 ** 20,
-            )
+    @pytest.mark.parametrize(
+        "m, t",
+        [
+            ((2, 7, 12, 25), 0.3),
+            # phi(2t) = cos 2t < 0 puts theta at pi; just past pi/4 it is
+            # near 0, where 1 - |phi|^2 would cancel
+            ((1, 2, 3), 1.0),
+            ((1, 2, 3), math.pi / 4 + 1e-8),
+        ],
+    )
+    def test_rademacher_closed_form(self, m, t):
+        c, c2 = math.cos(t), math.cos(2.0 * t)
+        want = [
+            [c ** abs(b - a) * math.sqrt((1 - c2 ** min(a, b)) / (1 - c2 ** max(a, b))) for b in m]
+            for a in m
+        ]
+        res = sin_construction_corr(t, m, RADEMACHER)
+        np.testing.assert_allclose(res.corr, want, rtol=0, atol=1e-13)
+
+    def test_zero_modulus_corner(self):
+        # phi(2t) = cos 2t vanishes at t = pi/4, so every E sin^2 S'_k is 1/2
+        res = sin_construction_corr(math.pi / 4, [1, 2], RADEMACHER)
+        assert abs(res.corr[0, 1] - SQRT_HALF) <= 1e-14
+        # phi(s) = cos^2(s/2) is exactly 0.0 in floating point at s = pi
+        law = DiscreteLaw(values=np.array([-1.0, 0.0, 1.0]), probs=np.array([0.25, 0.5, 0.25]))
+        assert law.log_abs_cf(math.pi) == -math.inf
+        m = [1, 2, 4]
+        res = sin_construction_corr(math.pi / 2, m, law)
+        alpha = 0.5 + 0.5 * math.cos(math.pi / 2)
+        np.testing.assert_allclose(
+            res.corr, [[alpha ** abs(a - b) for b in m] for a in m], rtol=0, atol=1e-14
+        )
+        np.testing.assert_allclose(res.corr, sin_corr_enumerate(math.pi / 2, m, law)[0], atol=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        values=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=4, unique=True),
+        weights=st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4),
+        m=st.lists(st.integers(1, 8), min_size=1, max_size=4),
+        t=st.floats(1e-3, 1.0),
+    )
+    def test_matches_enumeration(self, values, weights, m, t):
+        vals = np.array(values)
+        probs = np.array(weights[: vals.size])
+        law = DiscreteLaw(values=vals, probs=probs / probs.sum())
+        try:
+            solve_ct(t, law)
+        except ValidationError:
+            assume(False)
+        m = sorted(m)
+        want, want_ct = sin_corr_enumerate(t, m, law)
+        res = sin_construction_corr(t, m, law)
+        np.testing.assert_allclose(res.corr, want, rtol=0, atol=1e-12)
+        assert res.c_t == want_ct
