@@ -237,31 +237,31 @@ class PhiStarReport:
         }
 
 
-def _block_penalties(alpha, gram, slices) -> np.ndarray:
-    """Pen_j = ||alpha_j||_G, the empirical L2 norm of each block's component."""
-    return np.sqrt(np.clip([alpha[sl] @ gram[sl, sl] @ alpha[sl] for sl in slices], 0.0, None))
+def _cone_penalties(pen2, active) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-block penalties, their active sums and active-to-inactive shares.
+
+    Rows of ``pen2`` hold alpha_j' G_jj alpha_j per block, so Pen_j =
+    ||alpha_j||_G is the empirical L2 norm of block j's component; ``active``
+    masks the active blocks. A share x/0 is inf for x > 0, and 0/0 is nan,
+    which lies in no cone.
+    """
+    pens = np.sqrt(np.clip(pen2, 0.0, None))
+    s_act = pens[:, active].sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        share = s_act / pens[:, ~active].sum(axis=1)
+    return pens, s_act, share
 
 
-def _cone_ratio(alpha, gram, slices, query) -> tuple[float, bool]:
-    """(ratio, in_cone) for stacked coefficients alpha; 0/0 counts as out."""
-    num_all = float(alpha @ gram @ alpha)
-    pens = _block_penalties(alpha, gram, slices)
-    active = np.zeros(len(slices), dtype=bool)
-    active[list(query.active)] = True
-    s_act, s_inact = float(pens[active].sum()), float(pens[~active].sum())
-    if s_inact == 0.0:
-        in_cone = s_act > 0.0
-    else:
-        in_cone = s_act / s_inact > query.xi0
-    size = len(query.active)
-    if query.q == 2:
-        denom = float(np.sum(pens ** 2))
-    else:
-        denom = float(pens[active].sum()) ** 2
-    if denom <= 0.0:
-        return math.inf, in_cone
-    scale = size ** (2 - query.q)
-    return scale * num_all / denom, in_cone
+def _cone_ratios(quad, pen2, active, query) -> tuple[np.ndarray, np.ndarray]:
+    """(ratio, in_cone) per row, from alpha' G alpha and the block ``pen2``.
+
+    A vanishing denominator gives an infinite ratio.
+    """
+    pens, s_act, share = _cone_penalties(pen2, active)
+    denom = np.sum(pens ** 2, axis=1) if query.q == 2 else s_act ** 2
+    scale = len(query.active) ** (2 - query.q)
+    ratio = np.divide(scale * quad, denom, out=np.full_like(denom, math.inf), where=denom > 0.0)
+    return ratio, share > query.xi0
 
 
 def empirical_phi_star(
@@ -278,8 +278,13 @@ def empirical_phi_star(
     Columns are quantile-standardized to [0, 1] and expanded in the requested
     basis. The ratio is evaluated on ``n_dirs`` random directions rescaled
     into the cone, on active-only directions (always in the cone), and on the
-    unconstrained minimizing eigen-direction of the centered Gram; the minimum
-    observed value is reported with a row-bootstrap standard error.
+    unconstrained minimizing eigen-direction of the centered Gram relative to
+    its block diagonal; the first minimum observed is reported with a
+    row-bootstrap standard error. The eigen-direction comes from a standard
+    symmetric eigensolve in block-whitened coordinates (numpy only). The
+    candidates are drawn as one (n_dirs, D + |active block coefficients|)
+    normal matrix, projected and scored as arrays, and each bootstrap
+    resample enters as ``bincount`` weights on the rows.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] < 2:
@@ -292,104 +297,97 @@ def empirical_phi_star(
     data01 = quantile_standardize(data)
     blocks = [_basis_columns(data01[:, j], basis) for j in range(p)]
     design = np.concatenate(blocks, axis=1)
-    sizes = [b.shape[1] for b in blocks]
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    offsets = np.concatenate(([0], np.cumsum([b.shape[1] for b in blocks])))
     slices = [slice(offsets[j], offsets[j + 1]) for j in range(p)]
+    dim = int(offsets[-1])
 
     centered = design - design.mean(axis=0)
     gram = centered.T @ centered / n
+    gram_blocks = np.zeros_like(gram)
+    for sl in slices:
+        gram_blocks[sl, sl] = gram[sl, sl]
 
-    # blockwise complement of the all-ones null direction of centered one-hot
-    # blocks; polynomial blocks are full rank already
-    def block_reduce(j):
-        g = gram[slices[j], slices[j]]
-        vals, vecs = np.linalg.eigh(g)
+    # whiten each block on the complement of its null directions (the
+    # all-ones direction of centered one-hot blocks; polynomial blocks are
+    # full rank already); the smallest eigenvector of the whitened Gram then
+    # solves gram x = lambda gram_blocks x, up to the scale and sign that the
+    # cone ratio ignores
+    def block_whitener(j):
+        vals, vecs = np.linalg.eigh(gram[slices[j], slices[j]])
         keep = vals > max(1e-12, vals[-1] * 1e-10)
         if not np.any(keep):
             raise DegenerateInputError(f"basis block {j} is degenerate on the data")
-        return vecs[:, keep]
+        return vecs[:, keep] / np.sqrt(vals[keep])
 
-    reducers = [block_reduce(j) for j in range(p)]
-    red_sizes = [r.shape[1] for r in reducers]
-    red_offsets = np.concatenate(([0], np.cumsum(red_sizes)))
-    lift = np.zeros((offsets[-1], red_offsets[-1]))
+    whiteners = [block_whitener(j) for j in range(p)]
+    red_offsets = np.concatenate(([0], np.cumsum([wh.shape[1] for wh in whiteners])))
+    whiten = np.zeros((dim, red_offsets[-1]))
     for j in range(p):
-        lift[slices[j], red_offsets[j]:red_offsets[j + 1]] = reducers[j]
-    gram_r = lift.T @ gram @ lift
-    block_r = np.zeros_like(gram_r)
-    for j in range(p):
-        sl = slice(red_offsets[j], red_offsets[j + 1])
-        block_r[sl, sl] = gram_r[sl, sl]
-    from scipy.linalg import eigh as generalized_eigh
+        whiten[slices[j], red_offsets[j]:red_offsets[j + 1]] = whiteners[j]
+    eigen_dir = whiten @ np.linalg.eigh(whiten.T @ gram @ whiten)[1][:, 0]
 
-    vecs = generalized_eigh(gram_r, block_r)[1]
-    eigen_dir = lift @ vecs[:, 0]
+    active = np.zeros(p, dtype=bool)
+    active[list(query.active)] = True
+    active_cols = np.repeat(active, np.diff(offsets))
 
-    inactive = [j for j in range(p) if j not in query.active]
+    def block_pen2(alphas):
+        return np.add.reduceat((alphas @ gram_blocks) * alphas, offsets[:-1], axis=1)
 
-    def cone_project(alpha: np.ndarray) -> np.ndarray | None:
-        """Shrink the inactive blocks until the cone constraint is strict."""
-        if not inactive:
-            return alpha
-        out = alpha.copy()
-        pens = _block_penalties(out, gram, slices)
-        s_act = float(pens[list(query.active)].sum())
-        s_inact = float(pens[inactive].sum())
-        if s_act <= 0.0:
-            return None
-        if s_inact > 0.0 and s_act / s_inact <= query.xi0:
-            shrink = 0.5 * s_act / (query.xi0 * s_inact)
-            for j in inactive:
-                out[slices[j]] *= shrink
-        return out
+    def cone_project(alphas):
+        """Rows shrunk on their inactive blocks until the cone constraint is
+        strict, and which rows admit that (a positive active penalty)."""
+        if active.all():
+            return alphas, np.ones(alphas.shape[0], dtype=bool)
+        _, s_act, share = _cone_penalties(block_pen2(alphas), active)
+        shrink = np.where(share <= query.xi0, 0.5 * share / query.xi0, 1.0)
+        out = alphas.copy()
+        out[:, ~active_cols] *= shrink[:, None]
+        return out, s_act > 0.0
 
-    # candidate directions are drawn in one deterministic pass before scoring
+    # one deterministic draw, in the stream order of one random direction
+    # followed by its active-only companion per row; the pool is ordered as
+    # [eigen, eigen projected, (random projected, active-only) per draw], and
+    # active-only rows sit in the cone by the x/0 = inf share
     rng = np.random.default_rng(seed)
-    pool: list[tuple[np.ndarray, bool]] = [(eigen_dir, False)]
-    eigen_cone = cone_project(eigen_dir)
-    if eigen_cone is not None:
-        pool.append((eigen_cone, True))
-    for _ in range(n_dirs):
-        alpha = cone_project(rng.standard_normal(offsets[-1]))
-        if alpha is not None:
-            pool.append((alpha, True))
-        # active-only directions sit in the cone by the 0/0 convention
-        alpha_act = np.zeros(offsets[-1])
-        for j in query.active:
-            alpha_act[slices[j]] = rng.standard_normal(sizes[j])
-        pool.append((alpha_act, True))
+    draws = rng.standard_normal((n_dirs, dim + int(active_cols.sum())))
+    projected, kept = cone_project(np.vstack([eigen_dir, draws[:, :dim]]))
+    pool = np.zeros((2 + 2 * n_dirs, dim))
+    pool[0], pool[1], pool[2::2] = eigen_dir, projected[0], projected[1:]
+    active_only = np.zeros((n_dirs, dim))
+    active_only[:, active_cols] = draws[:, dim:]
+    pool[3::2] = active_only
+    kept_pool = np.ones(pool.shape[0], dtype=bool)
+    kept_pool[1], kept_pool[2::2] = kept[0], kept[1:]
+    # only the eigen-direction itself is scored without the cone constraint
+    require_cone = np.ones(pool.shape[0], dtype=bool)
+    require_cone[0] = False
 
-    def score(item):
-        alpha, require_cone = item
-        ratio, in_cone = _cone_ratio(alpha, gram, slices, query)
-        if not math.isfinite(ratio) or (require_cone and not in_cone):
-            return None
-        return ratio, alpha, in_cone
-
-    scored = [score(item) for item in pool]
-    evaluated = [s for s in scored if s is not None]
-    if not evaluated:
+    quad = np.sum((pool @ gram) * pool, axis=1)
+    ratio, in_cone = _cone_ratios(quad, block_pen2(pool), active, query)
+    admissible = kept_pool & np.isfinite(ratio) & (in_cone | ~require_cone)
+    if not admissible.any():
         raise DegenerateInputError("no admissible cone direction was found")
-    evaluated.sort(key=lambda triple: triple[0])
-    phi_hat, argmin, in_cone = evaluated[0]
+    best = int(np.argmin(np.where(admissible, ratio, math.inf)))
+    argmin = pool[best]
 
     # bootstrap the ratio at the frozen argmin direction; in the coordinates of
     # the block components centered_j @ argmin_j that is the all-ones direction
-    values = np.stack([centered[:, sl] @ argmin[sl] for sl in slices], axis=1)
-    ones, unit = np.ones(p), [slice(j, j + 1) for j in range(p)]
-    boots = np.empty(n_boot)
+    values = np.stack([centered[:, sl] @ argmin[sl] for sl in slices])
+    grams = np.empty((n_boot, p, p))
     for b in range(n_boot):
-        sub = values[rng.integers(0, n, size=n)]
-        sub = sub - sub.mean(axis=0)
-        boots[b] = _cone_ratio(ones, sub.T @ sub / n, unit, query)[0]
+        weight = np.bincount(rng.integers(0, n, size=n), minlength=n) / n
+        mean = values @ weight
+        grams[b] = (values * weight) @ values.T - np.outer(mean, mean)
+    boots = _cone_ratios(grams.sum(axis=(1, 2)), np.diagonal(grams, axis1=1, axis2=2),
+                         active, query)[0]
     se = float(np.nanstd(np.where(np.isfinite(boots), boots, np.nan), ddof=1))
 
     return PhiStarReport(
-        phi_hat=float(phi_hat),
+        phi_hat=float(ratio[best]),
         se=se,
         argmin_direction=argmin,
-        argmin_in_cone=bool(in_cone),
-        n_directions=len(evaluated),
+        argmin_in_cone=bool(in_cone[best]),
+        n_directions=int(np.count_nonzero(admissible)),
         degenerate_cone=degenerate,
     )
 
@@ -432,7 +430,8 @@ def _var_with_se(v: np.ndarray) -> tuple[float, float]:
     n = v.size
     c = v - v.mean()
     var = float(c @ c / n)
-    m4 = float(np.mean(c ** 4))
+    c2 = c * c  # squaring twice: a float power of 4 calls pow per element
+    m4 = float(np.mean(c2 * c2))
     se = math.sqrt(max(m4 - var * var, 0.0) / n)
     return var, se
 

@@ -663,10 +663,16 @@ def solve_ct(t: float, law) -> float:
     if abs(ec) < 1e-14:
         raise ValidationError(f"E cos(tY) vanishes at t={t}; pick another t")
     if isinstance(law, DiscreteLaw):
-        diffs = law.values[:, None] - law.values[None, :]
-        if np.all(np.abs(np.sin(t * diffs)) < 1e-14):
+        # sin x counts as zero within the rounding of x itself (x = k pi), and
+        # where its square, which the transform's variances scale with,
+        # underflows the normal floats
+        x = t * (law.values[:, None] - law.values[None, :])
+        sin_x = np.abs(np.sin(x))
+        fin = np.finfo(float)
+        if np.all((sin_x <= 4.0 * fin.eps * np.abs(x)) | (sin_x * sin_x < fin.tiny)):
             raise DegenerateInputError(
-                f"sin(t(Y1 - Y2)) vanishes almost surely at t={t}"
+                f"sin(t(Y1 - Y2)) vanishes almost surely, or below float "
+                f"resolution, at t={t}"
             )
     ct = math.atan(es / ec)
     residual = abs(math.cos(ct) * es - math.sin(ct) * ec)  # E sin(tY - c_t)

@@ -1,4 +1,4 @@
-"""Shared random-instance generators and s^u enumeration references."""
+"""Shared random-instance generators and loop-form references of batched kernels."""
 
 import itertools
 import math
@@ -7,6 +7,7 @@ import numpy as np
 
 from nlcorr import (
     BudgetExceededError,
+    CompatibilityQuery,
     DegenerateInputError,
     DiscreteJoint,
     DiscreteLaw,
@@ -14,6 +15,7 @@ from nlcorr import (
     ValidationError,
     solve_ct,
 )
+from nlcorr.additive import _basis_columns, quantile_standardize
 from nlcorr.groups import ATOM_BUDGET
 
 
@@ -186,3 +188,118 @@ def sin_corr_enumerate(t: float, m, law: DiscreteLaw) -> tuple[np.ndarray, float
     if np.any(d <= 0):
         raise DegenerateInputError("sin transform is degenerate at this t")
     return cov / np.outer(d, d), ct
+
+
+def _block_penalties(alpha, gram, slices) -> np.ndarray:
+    """Pen_j = ||alpha_j||_G, the empirical L2 norm of each block's component."""
+    return np.sqrt(np.clip([alpha[sl] @ gram[sl, sl] @ alpha[sl] for sl in slices], 0.0, None))
+
+
+def _cone_ratio(alpha, gram, slices, query: CompatibilityQuery) -> tuple[float, bool]:
+    """(ratio, in_cone) for stacked coefficients alpha; 0/0 counts as out."""
+    num_all = float(alpha @ gram @ alpha)
+    pens = _block_penalties(alpha, gram, slices)
+    active = np.zeros(len(slices), dtype=bool)
+    active[list(query.active)] = True
+    s_act, s_inact = float(pens[active].sum()), float(pens[~active].sum())
+    if s_inact == 0.0:
+        in_cone = s_act > 0.0
+    else:
+        in_cone = s_act / s_inact > query.xi0
+    size = len(query.active)
+    if query.q == 2:
+        denom = float(np.sum(pens ** 2))
+    else:
+        denom = float(pens[active].sum()) ** 2
+    if denom <= 0.0:
+        return math.inf, in_cone
+    scale = size ** (2 - query.q)
+    return scale * num_all / denom, in_cone
+
+
+def phi_star_loop(data, basis, query, *, n_dirs=200, seed=0, n_boot=64) -> dict:
+    """Reference for ``empirical_phi_star``: one candidate direction at a time.
+
+    Draws each random direction and its active-only companion in turn,
+    projects and scores them one call at a time, takes the eigen-direction
+    from scipy's generalized symmetric eigensolve, and bootstraps by
+    gathering the resampled rows. Returns the report's fields.
+    """
+    from scipy.linalg import eigh as generalized_eigh
+
+    data = np.asarray(data, dtype=float)
+    n, p = data.shape
+    data01 = quantile_standardize(data)
+    blocks = [_basis_columns(data01[:, j], basis) for j in range(p)]
+    design = np.concatenate(blocks, axis=1)
+    sizes = [b.shape[1] for b in blocks]
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    slices = [slice(offsets[j], offsets[j + 1]) for j in range(p)]
+    centered = design - design.mean(axis=0)
+    gram = centered.T @ centered / n
+
+    def block_reduce(j):
+        vals, vecs = np.linalg.eigh(gram[slices[j], slices[j]])
+        return vecs[:, vals > max(1e-12, vals[-1] * 1e-10)]
+
+    reducers = [block_reduce(j) for j in range(p)]
+    red_offsets = np.concatenate(([0], np.cumsum([r.shape[1] for r in reducers])))
+    lift = np.zeros((offsets[-1], red_offsets[-1]))
+    for j in range(p):
+        lift[slices[j], red_offsets[j]:red_offsets[j + 1]] = reducers[j]
+    gram_r = lift.T @ gram @ lift
+    block_r = np.zeros_like(gram_r)
+    for j in range(p):
+        sl = slice(red_offsets[j], red_offsets[j + 1])
+        block_r[sl, sl] = gram_r[sl, sl]
+    eigen_dir = lift @ generalized_eigh(gram_r, block_r)[1][:, 0]
+
+    inactive = [j for j in range(p) if j not in query.active]
+
+    def cone_project(alpha):
+        if not inactive:
+            return alpha
+        out = alpha.copy()
+        pens = _block_penalties(out, gram, slices)
+        s_act = float(pens[list(query.active)].sum())
+        s_inact = float(pens[inactive].sum())
+        if s_act <= 0.0:
+            return None
+        if s_inact > 0.0 and s_act / s_inact <= query.xi0:
+            shrink = 0.5 * s_act / (query.xi0 * s_inact)
+            for j in inactive:
+                out[slices[j]] *= shrink
+        return out
+
+    rng = np.random.default_rng(seed)
+    pool = [(eigen_dir, False)]
+    eigen_cone = cone_project(eigen_dir)
+    if eigen_cone is not None:
+        pool.append((eigen_cone, True))
+    for _ in range(n_dirs):
+        alpha = cone_project(rng.standard_normal(offsets[-1]))
+        if alpha is not None:
+            pool.append((alpha, True))
+        alpha_act = np.zeros(offsets[-1])
+        for j in query.active:
+            alpha_act[slices[j]] = rng.standard_normal(sizes[j])
+        pool.append((alpha_act, True))
+
+    evaluated = []
+    for alpha, require_cone in pool:
+        ratio, in_cone = _cone_ratio(alpha, gram, slices, query)
+        if math.isfinite(ratio) and (in_cone or not require_cone):
+            evaluated.append((ratio, alpha, in_cone))
+    evaluated.sort(key=lambda triple: triple[0])
+    phi_hat, argmin, in_cone = evaluated[0]
+
+    values = np.stack([centered[:, sl] @ argmin[sl] for sl in slices], axis=1)
+    ones, unit = np.ones(p), [slice(j, j + 1) for j in range(p)]
+    boots = np.empty(n_boot)
+    for b in range(n_boot):
+        sub = values[rng.integers(0, n, size=n)]
+        sub = sub - sub.mean(axis=0)
+        boots[b] = _cone_ratio(ones, sub.T @ sub / n, unit, query)[0]
+    se = float(np.nanstd(np.where(np.isfinite(boots), boots, np.nan), ddof=1))
+    return {"phi_hat": float(phi_hat), "se": se, "argmin_direction": argmin,
+            "argmin_in_cone": bool(in_cone), "n_directions": len(evaluated)}

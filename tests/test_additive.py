@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+
+from helpers import phi_star_loop
 
 from nlcorr import (
     BasisSpec,
@@ -16,7 +19,7 @@ from nlcorr import (
     sandwich_check,
 )
 from nlcorr import ar1_kernel, spectral_extremes
-from nlcorr.additive import quantile_standardize, sample_latent
+from nlcorr.additive import _var_with_se, quantile_standardize, sample_latent
 from nlcorr.hermite import HermiteExpansion
 
 
@@ -182,6 +185,69 @@ class TestEmpiricalPhiStar:
             CompatibilityQuery(active=(), xi0=1.0, q=1)
         with pytest.raises(ValidationError):
             CompatibilityQuery(active=(0,), xi0=-1.0, q=1)
+
+
+class TestPhiStarAgainstLoop:
+    """Batched scoring and the weighted bootstrap against the one-at-a-time loop."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        beta, p = 0.6, 8
+        sigma = beta ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
+        design = CopulaDesign(sigma_z=sigma, transforms=("identity", "exp") * 4,
+                              n=4000, seed=4)
+        return sample_design(design)
+
+    @pytest.mark.parametrize("basis", [BasisSpec("histogram", 8), BasisSpec("poly", 3)],
+                             ids=["histogram", "poly"])
+    @pytest.mark.parametrize("active", [(0,), (0, 3), tuple(range(8))],
+                             ids=["one", "two", "all"])
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_same_report_as_loop(self, data, basis, active, q):
+        query = CompatibilityQuery(active=active, xi0=3.0, q=q)
+        rep = empirical_phi_star(data, basis, query, n_dirs=150, seed=7, n_boot=32)
+        ref = phi_star_loop(data, basis, query, n_dirs=150, seed=7, n_boot=32)
+        assert rep.phi_hat == pytest.approx(ref["phi_hat"], rel=1e-12)
+        # the eigen-direction candidate is defined up to its sign
+        got, want = rep.argmin_direction, ref["argmin_direction"]
+        np.testing.assert_allclose(np.sign(got @ want) * got, want,
+                                   rtol=0, atol=1e-12 * np.abs(want).max())
+        assert rep.n_directions == ref["n_directions"]
+        assert rep.argmin_in_cone == ref["argmin_in_cone"]
+        assert rep.se == pytest.approx(ref["se"], rel=1e-10)
+
+
+def _exact_var_se(v) -> tuple[float, float]:
+    """Variance, the standard error of its plug-in estimate, and the scale
+    (m4 + var^2)/n of the rounding error in se^2, from exact rationals."""
+    vals = [Fraction(float(x)) for x in v]
+    n = len(vals)
+    mean = sum(vals) / n
+    dev = [x - mean for x in vals]
+    var = sum(d * d for d in dev) / n
+    m4 = sum(d ** 4 for d in dev) / n
+    return float(var), math.sqrt(float((m4 - var * var) / n)), float((m4 + var * var) / n)
+
+
+class TestMonteCarloMoments:
+    def test_exact_on_dyadic_samples(self, rng):
+        # quarter-integers with n a power of two: the mean, the deviations and
+        # their powers and sums are exact floats, so only the last steps round
+        for n in (4, 16, 64):
+            v = rng.integers(-8, 9, size=n) / 4.0
+            var, se = _var_with_se(v)
+            want_var, want_se, _ = _exact_var_se(v)
+            assert var == pytest.approx(want_var, rel=1e-15)
+            assert se == pytest.approx(want_se, rel=1e-15)
+
+    def test_close_to_exact_on_random_samples(self, rng):
+        for n in (5, 16, 50, 101):
+            v = 3.0 + rng.uniform(0.1, 10.0) * rng.standard_normal(n)
+            var, se = _var_with_se(v)
+            want_var, want_se, scale = _exact_var_se(v)
+            assert var == pytest.approx(want_var, rel=1e-15)
+            # se^2 = (m4 - var^2)/n cancels; each term carries a few roundings
+            assert abs(se ** 2 - want_se ** 2) <= 16 * np.finfo(float).eps * scale
 
 
 class TestSandwich:

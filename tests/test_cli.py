@@ -401,7 +401,7 @@ def scipy_modules():
 
 import nlcorr
 from nlcorr import cli
-matrix, sandwich, lattice, line, samples = sys.argv[1:6]
+matrix, sandwich, lattice, line, samples, copula = sys.argv[1:7]
 stages = {"import nlcorr": scipy_modules()}
 for label, argv in (
         ("nested", ["nested", "--m", "1,2"]),
@@ -413,7 +413,8 @@ for label, argv in (
         ("stationary lattice", ["stationary", "--input", lattice, "--crosscheck", "50"]),
         ("stationary line", ["stationary", "--input", line]),
         ("ace", ["ace", "--input", samples, "--bins", "4"]),
-        ("sinlimit", ["sinlimit", "--law", "rademacher", "--m", "2,7,12,25", "--t", "0.3"])):
+        ("sinlimit", ["sinlimit", "--law", "rademacher", "--m", "2,7,12,25", "--t", "0.3"]),
+        ("copula-check", ["copula-check", "--input", copula, "--ndirs", "20"])):
     with redirect_stdout(io.StringIO()):
         code = cli.run(argv)
     stages[label] = scipy_modules() if code == 0 else ["exit %d" % code]
@@ -449,12 +450,15 @@ def test_trivial_subcommands_load_no_scipy(tmp_path):
         {"domain": "line", "name": "table", "table": {"values": [1.0, 0.5, 0.0]}}))
     samples = tmp_path / "samples.csv"
     samples.write_text("x1,x2\n" + "\n".join(f"{i / 7},{(i * 3) % 11}" for i in range(40)))
+    copula = tmp_path / "copula.json"
+    copula.write_text(json.dumps(
+        {"sigma_z": [[1.0, 0.5], [0.5, 1.0]], "transforms": ["identity", "exp"], "n": 2000}))
     src = str(Path(nlcorr.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_BUDGET_SCRIPT, str(matrix), str(sandwich),
-         str(lattice), str(line), str(samples)],
+         str(lattice), str(line), str(samples), str(copula)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -462,7 +466,7 @@ def test_trivial_subcommands_load_no_scipy(tmp_path):
     assert result["stages"] == {
         "import nlcorr": [], "nested": [], "eig": [], "hermite": [], "stationary ar1": [],
         "kernel": [], "stationary lattice": [], "stationary line": [], "ace": [],
-        "sinlimit": [], "nested_sums_joint": [], "group_sums_joint": [],
+        "sinlimit": [], "copula-check": [], "nested_sums_joint": [], "group_sums_joint": [],
     }
     # 2 * integral of the hat 1 - t/2 over [0, 2]
     assert result["line_density"] == pytest.approx(2.0, abs=1e-10)

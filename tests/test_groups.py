@@ -559,6 +559,18 @@ class TestSolveCt:
         with pytest.raises(DegenerateInputError):
             solve_ct(1.0, law)
 
+    @pytest.mark.parametrize("t", [4e-15, 1e-150])
+    def test_tiny_t_is_not_degenerate(self, t):
+        # sin(2t) is 2t to full relative accuracy, far from the rounding of 2t
+        assert solve_ct(t, RADEMACHER) == 0.0
+        corr = sin_construction_corr(t, [1, 2], RADEMACHER).corr
+        assert corr[0, 1] == pytest.approx(SQRT_HALF, abs=1e-14)
+
+    def test_sin_below_float_resolution_rejected(self):
+        # sin(2t)^2 = 4e-600 underflows, and with it every variance of the transform
+        with pytest.raises(DegenerateInputError, match="float resolution"):
+            solve_ct(1e-300, RADEMACHER)
+
 
 class TestSinConstruction:
     def test_rademacher_pair_near_limit(self):

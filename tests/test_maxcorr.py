@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from nlcorr import (
     rayleigh_quotient,
 )
 from nlcorr import additive, spectra
-from nlcorr.maxcorr import SampleTables, quantile_bin_column
+from nlcorr.maxcorr import SampleTables, _bin_column, quantile_bin_column
 
 SQRT_HALF = np.sqrt(0.5)
 RADEMACHER = DiscreteLaw.rademacher()
@@ -416,7 +418,7 @@ class TestSampleTables:
         tables = SampleTables.from_samples(data, self.BINS)
         atoms = DiscreteJoint.from_samples([_reference_bins(c, self.BINS) for c in data.T])
         assert tables.supports == atoms.supports
-        assert tables.codes.dtype == np.intp and tables.codes.flags.c_contiguous
+        assert tables.codes.dtype == np.uint8 and tables.codes.flags.c_contiguous
         # the atom joint adds up copies of 1/n, each sum within n eps of the count over n
         n, p = data.shape
         tol = n * np.finfo(float).eps
@@ -437,3 +439,60 @@ class TestSampleTables:
             a, b = np.concatenate(f_new), np.concatenate(f_old)
             np.testing.assert_allclose(np.sign(a @ b) * a, b, rtol=0, atol=1e-10)
             assert abs(rayleigh_quotient(tables, w, f_new) - rho) <= 1e-12
+
+
+def _searchsorted_bins(col, bins):
+    """The binary-search form of ``_bin_column``: labels and intp codes."""
+    srt = np.sort(col)
+    labels = np.unique(srt)
+    if labels.size <= bins:
+        return labels, np.searchsorted(labels, col)
+    edges = np.quantile(srt, np.linspace(0.0, 1.0, bins + 1)[1:-1])
+    codes = np.searchsorted(edges, col, side="right")
+    used = np.bincount(codes, minlength=bins) > 0
+    return np.flatnonzero(used).astype(float), (np.cumsum(used) - 1)[codes]
+
+
+class TestNarrowCodes:
+    """The comparison-count coding and narrow pair codes against intp references."""
+
+    @pytest.mark.parametrize("bins", [2, 16, 255, 256, 257, 1024])
+    def test_bin_codes_equal_the_binary_search(self, rng, bins):
+        n = 6000
+        columns = {
+            "continuous": rng.standard_normal(n),
+            "heavy-ties": _tied_column(rng, n),
+            "rounded": np.round(rng.uniform(0.0, 3.0, n), 1),
+            # 60 % of the mass on the minimum: bins below that quantile stay empty
+            "mass-at-min": np.where(rng.random(n) < 0.6, -5.0, rng.standard_normal(n)),
+        }
+        for name, col in columns.items():
+            labels, codes = _bin_column(col, bins)
+            want_labels, want_codes = _searchsorted_bins(col, bins)
+            assert codes.dtype == (np.uint8 if bins <= 256 else np.uint16), name
+            np.testing.assert_array_equal(labels, want_labels, err_msg=name)
+            np.testing.assert_array_equal(codes, want_codes, err_msg=name)
+        assert _bin_column(columns["mass-at-min"], bins)[0].size < bins
+
+    @pytest.mark.parametrize("sizes", [(16, 17), (17, 16), (2, 200), (16, 16)])
+    def test_pair_counts_equal_intp_bincount(self, rng, sizes):
+        n = 5000
+        codes = np.stack([rng.permutation(np.arange(n) % s) for s in sizes]).astype(np.uint8)
+        tables = SampleTables(supports=tuple(tuple(range(s)) for s in sizes), codes=codes)
+        wide = codes.astype(np.intp)
+        want = np.bincount(wide[0] * sizes[1] + wide[1], minlength=sizes[0] * sizes[1])
+        np.testing.assert_array_equal(
+            tables.bivariate(0, 1), want.reshape(sizes) / n)
+        np.testing.assert_array_equal(tables.marginal(1), np.bincount(wide[1]) / n)
+
+    def test_ace_peak_memory_at_1e5_by_40(self):
+        data = np.random.default_rng(11).standard_normal((100_000, 40))
+        data[:, 1:] += data[:, :1]
+        tracemalloc.start()
+        try:
+            ace_estimate(data, np.ones((40, 40)), bins=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the one-byte (40, 1e5) code table is 4 MB; intp codes alone were 32 MB
+        assert peak < 12e6
