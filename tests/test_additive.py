@@ -217,7 +217,7 @@ class TestPhiStarAgainstLoop:
         assert rep.se == pytest.approx(ref["se"], rel=1e-10)
 
 
-def _exact_var_se(v) -> tuple[float, float]:
+def _exact_var_se(v) -> tuple[float, float, float]:
     """Variance, the standard error of its plug-in estimate, and the scale
     (m4 + var^2)/n of the rounding error in se^2, from exact rationals."""
     vals = [Fraction(float(x)) for x in v]
