@@ -38,11 +38,72 @@ from .spectra import as_corr_matrix
 # copula designs
 # ---------------------------------------------------------------------------
 
-def _probit_uniform(z):
-    # scipy.special loads here, on first use, to keep it off the import path
-    from scipy.special import ndtr
+# Coefficients of the cephes ``ndtr.c`` normal cdf, highest power first:
+# erf(x) = x T(x^2) / U(x^2) on |x| < 1, and erfc(x) = exp(-x^2) P(x) / Q(x)
+# on 1 <= x < 8, exp(-x^2) R(x) / S(x) beyond.
+_NDTR_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+           7.00332514112805075473E3, 5.55923013010394962768E4)
+_NDTR_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2,
+           4.59432382970980127987E3, 2.26290000613890934246E4, 4.92673942608635921086E4)
+_NDTR_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_NDTR_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_NDTR_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_NDTR_S = (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+# cephes MAXLOG: erfc underflows to 0 once x^2 exceeds it
+_NDTR_MAXLOG = 7.09782712893383996843E2
 
-    return ndtr(z)
+
+def _horner(x: np.ndarray, coefs) -> np.ndarray:
+    out = x * coefs[0]
+    out += coefs[1]
+    for c in coefs[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _probit_uniform(z) -> np.ndarray:
+    """The standard normal cdf, a numpy port of cephes ``ndtr`` (scipy's ``ndtr``).
+
+    With x = z / sqrt(2), Phi(z) = (1 + erf x) / 2 where |x| < 1 (the switch
+    scipy makes) and erfc(|x|) / 2, or one minus it for x > 0, elsewhere. The
+    erf rational runs over the whole array and only the tail indices are
+    overwritten, which is faster than masking every step. The arithmetic is
+    cephes' own, so the result stays within a few ulp of scipy's (the exp
+    implementations differ); +-inf give exactly 1 and 0, nan gives nan.
+    """
+    x = np.multiply(z, 0.7071067811865476, dtype=float)
+    shape = x.shape
+    x = x.ravel()
+    # the tail's polynomials overflow, harmlessly, past |x|^2 > MAXLOG
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = x * x
+        out = _horner(sq, _NDTR_T)
+        out *= x
+        out /= _horner(sq, _NDTR_U)
+        out *= 0.5
+        out += 0.5
+        tail = np.flatnonzero(np.abs(x) >= 1.0)
+        xt = x[tail]
+        a = np.abs(xt)
+        p, q = _horner(a, _NDTR_P), _horner(a, _NDTR_Q)
+        far = np.flatnonzero(a >= 8.0)
+        p[far] = _horner(a[far], _NDTR_R)
+        q[far] = _horner(a[far], _NDTR_S)
+        sqt = sq[tail]
+        half_erfc = np.exp(-sqt)
+        half_erfc *= p
+        half_erfc /= q
+        half_erfc *= 0.5
+        half_erfc[sqt > _NDTR_MAXLOG] = 0.0
+        out[tail] = np.where(xt > 0, 1.0 - half_erfc, half_erfc)
+    return out.reshape(shape)
 
 
 TRANSFORM_CATALOG: dict[str, Callable] = {
@@ -186,17 +247,28 @@ class CompatibilityQuery:
 def quantile_standardize(data: np.ndarray) -> np.ndarray:
     """Per-column midrank transform onto [0, 1].
 
-    Ties are broken by row order (stable sort), which keeps the transform
-    deterministic; designs are assumed continuous, where ties are negligible.
+    Ties are broken by row order (the ranks of a stable sort), which keeps the
+    transform deterministic; designs are assumed continuous, where ties are
+    negligible. Each column is ranked by the default (unstable) argsort; only
+    where equal values occur is row order restored inside each run of them,
+    NaNs counting as one run, by one int64 sort of run * n + row.
     """
     data = np.asarray(data, dtype=float)
     n = data.shape[0]
+    mid = (np.arange(n) + 0.5) / n
     out = np.empty_like(data)
     for j in range(data.shape[1]):
-        order = np.argsort(data[:, j], kind="stable")
-        ranks = np.empty(n)
-        ranks[order] = np.arange(n)
-        out[:, j] = (ranks + 0.5) / n
+        order = np.argsort(data[:, j])
+        srt = data[order, j]
+        same = srt[1:] == srt[:-1]
+        nan = np.isnan(srt)
+        same |= nan[1:] & nan[:-1]
+        if same.any():
+            run = np.zeros(n, dtype=np.int64)
+            np.cumsum(~same, out=run[1:])
+            run *= n
+            order = np.sort(run + order) - run
+        out[order, j] = mid
     return out
 
 

@@ -15,7 +15,7 @@ from nlcorr import (
     ValidationError,
     solve_ct,
 )
-from nlcorr.additive import _basis_columns, quantile_standardize
+from nlcorr.additive import _basis_columns
 from nlcorr.groups import ATOM_BUDGET
 
 
@@ -190,6 +190,19 @@ def sin_corr_enumerate(t: float, m, law: DiscreteLaw) -> tuple[np.ndarray, float
     return cov / np.outer(d, d), ct
 
 
+def quantile_standardize_stable(data) -> np.ndarray:
+    """Reference for ``quantile_standardize``: midranks from a stable argsort per column."""
+    data = np.asarray(data, dtype=float)
+    n = data.shape[0]
+    out = np.empty_like(data)
+    for j in range(data.shape[1]):
+        order = np.argsort(data[:, j], kind="stable")
+        ranks = np.empty(n)
+        ranks[order] = np.arange(n)
+        out[:, j] = (ranks + 0.5) / n
+    return out
+
+
 def _block_penalties(alpha, gram, slices) -> np.ndarray:
     """Pen_j = ||alpha_j||_G, the empirical L2 norm of each block's component."""
     return np.sqrt(np.clip([alpha[sl] @ gram[sl, sl] @ alpha[sl] for sl in slices], 0.0, None))
@@ -229,7 +242,7 @@ def phi_star_loop(data, basis, query, *, n_dirs=200, seed=0, n_boot=64) -> dict:
 
     data = np.asarray(data, dtype=float)
     n, p = data.shape
-    data01 = quantile_standardize(data)
+    data01 = quantile_standardize_stable(data)
     blocks = [_basis_columns(data01[:, j], basis) for j in range(p)]
     design = np.concatenate(blocks, axis=1)
     sizes = [b.shape[1] for b in blocks]

@@ -1,10 +1,11 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import phi_star_loop
+from helpers import phi_star_loop, quantile_standardize_stable
 
 from nlcorr import (
     BasisSpec,
@@ -19,7 +20,12 @@ from nlcorr import (
     sandwich_check,
 )
 from nlcorr import ar1_kernel, spectral_extremes
-from nlcorr.additive import _var_with_se, quantile_standardize, sample_latent
+from nlcorr.additive import (
+    _probit_uniform,
+    _var_with_se,
+    quantile_standardize,
+    sample_latent,
+)
 from nlcorr.hermite import HermiteExpansion
 
 
@@ -96,6 +102,67 @@ class TestSampleDesign:
             CopulaDesign(sigma_z=np.eye(2), transforms=("identity", "warp"), n=5)
 
 
+def _ulps(a, b):
+    """Distance in units in the last place between nonnegative float64 arrays."""
+    return np.abs(np.asarray(a, float).view(np.int64) - np.asarray(b, float).view(np.int64))
+
+
+class TestNormalCdf:
+    """The numpy port of cephes ``ndtr`` behind ``probit_uniform``."""
+
+    def test_within_4_ulp_of_scipy(self):
+        from scipy.special import ndtr
+
+        # below -37.5 scipy's values are subnormal or 0 (its underflow cut)
+        grid = np.linspace(-37.5, 40.0, 3_000_001)
+        draws = np.random.default_rng(0).standard_normal(1_000_000)
+        for z in (*np.array_split(grid, 6), *np.array_split(draws, 2)):
+            want = ndtr(z)
+            assert np.all(want >= np.finfo(float).tiny)
+            assert _ulps(_probit_uniform(z), want).max() <= 4
+
+    def test_lower_tail_no_worse_than_scipy(self):
+        mpmath = pytest.importorskip("mpmath")
+        from scipy.special import ndtr
+
+        z = np.linspace(-37.5, 0.0, 4000)
+        with mpmath.workdps(40):
+            exact = np.array([float(mpmath.ncdf(mpmath.mpf(float(v)))) for v in z])
+        ours, theirs = _ulps(_probit_uniform(z), exact), _ulps(ndtr(z), exact)
+        # both err by rounding exp(-z^2 / 2), up to ~1900 ulp far down the
+        # tail; the two exp implementations round differently by a few ulp
+        assert np.all(ours <= theirs + 4)
+
+    def test_edge_values(self):
+        z = np.array([np.inf, -np.inf, 1e300, -1e300, 40.0, -40.0, 0.0, -0.0, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _probit_uniform(z)
+        np.testing.assert_array_equal(got, [1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.5, 0.5, np.nan])
+
+    def test_keeps_shape(self):
+        z = np.array([[-3.0, 0.5], [2.0, 9.0]])
+        got = _probit_uniform(z)
+        assert got.shape == z.shape
+        np.testing.assert_array_equal(got.ravel(), _probit_uniform(z.ravel()))
+
+    def test_non_decreasing_across_branch_switches(self):
+        # the erf/erfc switch sits at |z| = sqrt(2), the P/Q to R/S one at 8 sqrt(2)
+        for centre in (-8.0 * math.sqrt(2.0), -math.sqrt(2.0), math.sqrt(2.0),
+                       8.0 * math.sqrt(2.0)):
+            z = np.linspace(centre - 1e-6, centre + 1e-6, 1_000_001)
+            assert np.all(np.diff(_probit_uniform(z)) >= 0.0), centre
+        z = np.linspace(-40.0, 40.0, 2_000_001)
+        assert np.all(np.diff(_probit_uniform(z)) >= 0.0)
+
+    def test_probit_design_matches_scipy_on_latent_draws(self):
+        from scipy.special import ndtr
+
+        design = CopulaDesign(sigma_z=_equicorr(3, 0.6), transforms=("probit_uniform",) * 3,
+                              n=50_000, seed=5)
+        assert _ulps(sample_design(design), ndtr(sample_latent(design))).max() <= 4
+
+
 class TestQuantileStandardize:
     def test_range_and_balance(self, rng):
         x = rng.standard_normal((1000, 2))
@@ -103,6 +170,28 @@ class TestQuantileStandardize:
         assert u.min() > 0.0 and u.max() < 1.0
         counts, _ = np.histogram(u[:, 0], bins=8, range=(0, 1))
         assert counts.min() == counts.max() == 125
+
+    def test_ranks_equal_the_stable_sort(self, rng):
+        n = 5000
+        signed_zero = rng.integers(0, 3, n).astype(float)
+        signed_zero[signed_zero == 1.0] = -0.0
+        signed_zero[signed_zero == 2.0] = 0.0
+        with_nan = np.round(rng.standard_normal(n), 1)
+        with_nan[rng.random(n) < 0.2] = np.nan
+        data = np.column_stack([
+            rng.standard_normal(n),
+            rng.integers(0, 4, n).astype(float),  # heavy ties
+            np.round(rng.standard_normal(n), 1),
+            signed_zero,
+            with_nan,
+            np.full(n, np.nan),
+            np.full(n, 2.5),
+        ])
+        np.testing.assert_array_equal(quantile_standardize(data),
+                                      quantile_standardize_stable(data))
+        for rows in (0, 1, 2):
+            np.testing.assert_array_equal(quantile_standardize(data[:rows]),
+                                          quantile_standardize_stable(data[:rows]))
 
 
 class TestEmpiricalPhiStar:

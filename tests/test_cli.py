@@ -390,8 +390,8 @@ class TestErrorPaths:
 
 
 # Runs in a fresh interpreter: prints the loaded scipy modules after importing
-# the package and after each subcommand that needs no scipy, then exercises the
-# path that still loads scipy on demand (the probit transform's normal cdf).
+# the package and after each subcommand, including the probit transform's
+# normal cdf in `copula-check` and `sandwich`, which is numpy alone.
 _IMPORT_BUDGET_SCRIPT = """
 import io, json, sys
 from contextlib import redirect_stdout
@@ -401,7 +401,7 @@ def scipy_modules():
 
 import nlcorr
 from nlcorr import cli
-matrix, sandwich, lattice, line, samples, copula = sys.argv[1:7]
+matrix, sandwich, lattice, line, samples, copula, probit = sys.argv[1:8]
 stages = {"import nlcorr": scipy_modules()}
 for label, argv in (
         ("nested", ["nested", "--m", "1,2"]),
@@ -414,7 +414,8 @@ for label, argv in (
         ("stationary line", ["stationary", "--input", line]),
         ("ace", ["ace", "--input", samples, "--bins", "4"]),
         ("sinlimit", ["sinlimit", "--law", "rademacher", "--m", "2,7,12,25", "--t", "0.3"]),
-        ("copula-check", ["copula-check", "--input", copula, "--ndirs", "20"])):
+        ("copula-check", ["copula-check", "--input", copula, "--ndirs", "20"]),
+        ("copula-check probit", ["copula-check", "--input", probit, "--ndirs", "20"])):
     with redirect_stdout(io.StringIO()):
         code = cli.run(argv)
     stages[label] = scipy_modules() if code == 0 else ["exit %d" % code]
@@ -453,12 +454,16 @@ def test_trivial_subcommands_load_no_scipy(tmp_path):
     copula = tmp_path / "copula.json"
     copula.write_text(json.dumps(
         {"sigma_z": [[1.0, 0.5], [0.5, 1.0]], "transforms": ["identity", "exp"], "n": 2000}))
+    probit = tmp_path / "probit.json"
+    probit.write_text(json.dumps(
+        {"sigma_z": [[1.0, 0.5], [0.5, 1.0]], "transforms": ["probit_uniform", "exp"],
+         "n": 2000}))
     src = str(Path(nlcorr.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_BUDGET_SCRIPT, str(matrix), str(sandwich),
-         str(lattice), str(line), str(samples), str(copula)],
+         str(lattice), str(line), str(samples), str(copula), str(probit)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -466,10 +471,10 @@ def test_trivial_subcommands_load_no_scipy(tmp_path):
     assert result["stages"] == {
         "import nlcorr": [], "nested": [], "eig": [], "hermite": [], "stationary ar1": [],
         "kernel": [], "stationary lattice": [], "stationary line": [], "ace": [],
-        "sinlimit": [], "copula-check": [], "nested_sums_joint": [], "group_sums_joint": [],
+        "sinlimit": [], "copula-check": [], "copula-check probit": [],
+        "nested_sums_joint": [], "group_sums_joint": [],
     }
     # 2 * integral of the hat 1 - t/2 over [0, 2]
     assert result["line_density"] == pytest.approx(2.0, abs=1e-10)
     assert result["sandwich"] == [0, "holds"]
-    assert "scipy.special" in result["loaded"]
-    assert "scipy.integrate" not in result["loaded"]
+    assert result["loaded"] == []

@@ -19,7 +19,7 @@ from nlcorr import (
     rayleigh_quotient,
 )
 from nlcorr import additive, spectra
-from nlcorr.maxcorr import SampleTables, _bin_column, quantile_bin_column
+from nlcorr.maxcorr import SampleTables, _bin_column, _sorted_quantiles, quantile_bin_column
 
 SQRT_HALF = np.sqrt(0.5)
 RADEMACHER = DiscreteLaw.rademacher()
@@ -473,6 +473,20 @@ class TestNarrowCodes:
             np.testing.assert_array_equal(labels, want_labels, err_msg=name)
             np.testing.assert_array_equal(codes, want_codes, err_msg=name)
         assert _bin_column(columns["mass-at-min"], bins)[0].size < bins
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 100, 1000, 100_000])
+    def test_sorted_quantiles_equal_np_quantile(self, rng, n):
+        columns = {
+            "continuous": rng.standard_normal(n),
+            "integer-tied": rng.integers(-3, 4, n).astype(float),
+            "rounded": np.round(rng.uniform(0.0, 3.0, n), 1),
+        }
+        for bins in (2, 3, 7, 16, 255, 256, 1024):
+            q = np.linspace(0.0, 1.0, bins + 1)[1:-1]
+            for name, col in columns.items():
+                srt = np.sort(col)
+                np.testing.assert_array_equal(
+                    _sorted_quantiles(srt, q), np.quantile(srt, q), err_msg=f"{name} {bins}")
 
     @pytest.mark.parametrize("sizes", [(16, 17), (17, 16), (2, 200), (16, 16)])
     def test_pair_counts_equal_intp_bincount(self, rng, sizes):
