@@ -31,6 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionMismatchError, ValidationError
+from .hermite import piecewise_linear, resolve_function
 from .spectra import as_corr_matrix
 
 
@@ -121,12 +122,7 @@ def resolve_transform(spec) -> Callable:
         if spec in TRANSFORM_CATALOG:
             return TRANSFORM_CATALOG[spec]
         raise ValidationError(f"unknown transform {spec!r}")
-    xs, ys = np.asarray(spec[0], float), np.asarray(spec[1], float)
-    if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
-        raise ValidationError("transform table needs matching 1-d x/y arrays")
-    if np.any(np.diff(xs) <= 0):
-        raise ValidationError("transform table x-values must increase")
-    return lambda z: np.interp(z, xs, ys)
+    return piecewise_linear(spec[0], spec[1])
 
 
 @dataclass(frozen=True)
@@ -182,16 +178,14 @@ def _latent_factor(sigma: np.ndarray) -> np.ndarray:
         return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
-def sample_latent(design: CopulaDesign) -> np.ndarray:
-    """The latent Gaussian table behind ``sample_design`` (same seed, same draws)."""
+def sample_design(design: CopulaDesign) -> np.ndarray:
+    """Draw the n x p design table; identical seeds give identical tables.
+
+    The latent Gaussian table is the design under ``("identity",) * p``.
+    """
     rng = np.random.default_rng(design.seed)
     factor = _latent_factor(design.sigma_z)
-    return rng.standard_normal((design.n, design.sigma_z.shape[0])) @ factor.T
-
-
-def sample_design(design: CopulaDesign) -> np.ndarray:
-    """Draw the n x p design table; identical seeds give identical tables."""
-    z = sample_latent(design)
+    z = rng.standard_normal((design.n, design.sigma_z.shape[0])) @ factor.T
     cols = [resolve_transform(t)(z[:, j]) for j, t in enumerate(design.transforms)]
     return np.stack(cols, axis=1)
 
@@ -524,7 +518,6 @@ def sandwich_check(
     compares Var(sum(f_hat_j - f_j)) against the latent extremes times the
     summed difference energies, at three-standard-error resolution.
     """
-    from .hermite import resolve_function
 
     def as_callable(spec):
         return spec if callable(spec) else resolve_function(spec)

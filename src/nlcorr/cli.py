@@ -24,12 +24,13 @@ from .report import canonical_json, inputs_digest, make_report, write_curve, wri
 DEFAULT_SEED = 1729
 
 
-def _resolve_weights(spec: str, p: int) -> np.ndarray:
-    if spec == "ones":
-        return np.ones((p, p))
-    if spec == "offdiag":
-        return np.ones((p, p)) - np.eye(p)
-    return spectra.load_matrix(spec)
+def _weights(args, p: int) -> tuple[np.ndarray, list]:
+    """The --weights matrix for p variables, and the input paths it was read from."""
+    if args.weights == "ones":
+        return np.ones((p, p)), []
+    if args.weights == "offdiag":
+        return np.ones((p, p)) - np.eye(p), []
+    return spectra.load_matrix(args.weights), [args.weights]
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -92,10 +93,9 @@ def _cmd_eig(args):
 
 def _cmd_schur_check(args):
     sigma = spectra.load_matrix(args.input)
-    w = _resolve_weights(args.weights, sigma.shape[0])
+    w, w_paths = _weights(args, sigma.shape[0])
     cert = spectra.schur_power_contraction_check(sigma, w, args.power, tol=args.tol)
-    paths = [args.input] + ([args.weights] if args.weights not in ("ones", "offdiag") else [])
-    return cert.as_dict(), {"containment": args.tol}, paths
+    return cert.as_dict(), {"containment": args.tol}, [args.input] + w_paths
 
 
 def _cmd_hermite(args):
@@ -110,12 +110,11 @@ def _cmd_hermite(args):
 
 def _cmd_oracle(args):
     joint = maxcorr.DiscreteJoint.load(args.joint)
-    w = _resolve_weights(args.weights, joint.nvars)
+    w, w_paths = _weights(args, joint.nvars)
     res = maxcorr.exact_extremes(joint, w)
     results = res.as_dict()
     results["supports"] = [list(s) for s in joint.supports]
-    paths = [args.joint] + ([args.weights] if args.weights not in ("ones", "offdiag") else [])
-    return results, {"ratio": 1e-9}, paths
+    return results, {"ratio": 1e-9}, [args.joint] + w_paths
 
 
 def _cmd_ace(args):
@@ -125,16 +124,15 @@ def _cmd_ace(args):
         data = np.loadtxt(args.input, delimiter=",", skiprows=1, ndmin=2)
     if data.size == 0:
         raise ValidationError(f"{args.input} holds no sample rows below its header")
-    w = _resolve_weights(args.weights, data.shape[1])
+    w, w_paths = _weights(args, data.shape[1])
     res = maxcorr.ace_estimate(data, w, bins=args.bins)
-    paths = [args.input] + ([args.weights] if args.weights not in ("ones", "offdiag") else [])
-    return res.as_dict(), {"ratio": 1e-9}, paths
+    return res.as_dict(), {"ratio": 1e-9}, [args.input] + w_paths
 
 
 def _cmd_nested(args):
     m = _parse_int_list(args.m)
     r = groups.nested_sum_matrix(m)
-    w = _resolve_weights(args.weights, len(m))
+    w, w_paths = _weights(args, len(m))
     lo, hi = spectra.extreme_eigs(r * w)
     results = {
         "m": m,
@@ -142,8 +140,7 @@ def _cmd_nested(args):
         "lambda_min": lo,
         "lambda_max": hi,
     }
-    paths = [args.weights] if args.weights not in ("ones", "offdiag") else []
-    return results, {"eig_rel": 1e-10}, paths
+    return results, {"eig_rel": 1e-10}, w_paths
 
 
 def _cmd_groups(args):
@@ -152,7 +149,7 @@ def _cmd_groups(args):
     if not isinstance(lists, list) or not all(isinstance(g, list) for g in lists):
         raise ValidationError("groups must be a list of label lists")
     system = groups.GroupSystem.from_lists(lists)
-    w = _resolve_weights(args.weights, system.nvars)
+    w, w_paths = _weights(args, system.nvars)
     symm = groups.extreme_symm(system, w)
     check = groups.assumption_c_check(system)
     results = {
@@ -165,8 +162,7 @@ def _cmd_groups(args):
             "witness": [sorted(g) for g in check.witness] if check.witness else None,
         },
     }
-    paths = [args.input] + ([args.weights] if args.weights not in ("ones", "offdiag") else [])
-    return results, {"eig_rel": 1e-10}, paths
+    return results, {"eig_rel": 1e-10}, [args.input] + w_paths
 
 
 def _cmd_hoeffding(args):
@@ -206,7 +202,6 @@ def _cmd_sinlimit(args):
     results = {
         "t": args.t,
         "c_t": res.c_t,
-        "method": res.method,
         "corr": res.corr.tolist(),
         "R": r.tolist(),
         "max_abs_gap": float(np.max(np.abs(res.corr - r))),
@@ -275,15 +270,16 @@ def _cmd_kernel(args):
         raise ValidationError("grid sizes must be at least 2")
     estimates = [spectra.brownian_lambda_max(n) for n in ns]
     cap = float(np.sqrt(0.5))
+    continuum = 4.0 / spectra.J01 ** 2
     results = {
         "kernel": "brownian-correlation",
         "n": ns,
         "lambda_max": estimates,
         "cap_sqrt_half": cap,
         "within_cap": bool(all(e <= cap + 2e-3 for e in estimates)),
+        "continuum": continuum,
+        "gap": [e - continuum for e in estimates],
     }
-    if len(ns) >= 2:
-        results["richardson"] = spectra.richardson_limit(estimates)
     if args.curve:
         write_curve(args.curve, ("n", "lambda_max"), zip(ns, estimates))
     return results, {"cap_slack": 2e-3}, []
@@ -353,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, *, weights=False, curve=False):
         p.add_argument("--out", help="write the JSON report here as well as stdout")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         if weights:
             p.add_argument("--weights", default="ones",
                            help="weight matrix: path, 'ones', or 'offdiag'")
@@ -427,11 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi0", type=float, default=3.0)
     p.add_argument("--active", default="0", help="comma-separated active indices")
     p.add_argument("--ndirs", type=int, default=200)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common(p)
 
     p = sub.add_parser("sandwich", help="latent-spectrum error sandwich by Monte Carlo")
     p.add_argument("--input", required=True, help="configuration JSON file")
     p.add_argument("--nmc", type=int, default=200_000)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common(p)
 
     return parser
@@ -447,7 +444,9 @@ def run(argv=None) -> int:
     try:
         results, tolerances, paths = handler(args)
         digest = inputs_digest(argv if argv is not None else sys.argv[1:], paths)
-        report = make_report(args.subcommand, digest, args.seed, results, tolerances)
+        # only the sampling subcommands take --seed; the others report null
+        seed = getattr(args, "seed", None)
+        report = make_report(args.subcommand, digest, seed, results, tolerances)
         text = write_report(report, args.out)
         sys.stdout.write(text)
         return 0

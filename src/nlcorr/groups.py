@@ -43,6 +43,8 @@ from .spectra import as_corr_matrix, as_weight_matrix, full_spectrum
 
 ATOM_BUDGET = 10 ** 6
 EXACT_TOL = 1e-12
+# search nodes the shadow-system backtracking visits before it answers "unknown"
+SHADOW_NODE_BUDGET = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -80,10 +82,6 @@ class DiscreteLaw:
 
     def mean(self) -> float:
         return float(self.probs @ self.values)
-
-    def var(self) -> float:
-        mu = self.mean()
-        return float(self.probs @ (self.values - mu) ** 2)
 
     def trig_moments(self, t: float) -> tuple[float, float]:
         """(E cos(tY), E sin(tY)) by direct summation."""
@@ -214,13 +212,8 @@ class EllMatrix:
     ``active`` lists the indices of J^(l) = {j : |G_j| >= l}.
     """
 
-    order: int
     matrix: np.ndarray
     active: tuple[int, ...]
-
-    def restricted(self) -> np.ndarray:
-        ix = np.asarray(self.active, dtype=np.int64)
-        return self.matrix[np.ix_(ix, ix)]
 
 
 def group_matrix(system: GroupSystem, ell: int) -> EllMatrix:
@@ -239,7 +232,7 @@ def group_matrix(system: GroupSystem, ell: int) -> EllMatrix:
             num = math.comb(int(inter[j, k]), ell)
             den = math.sqrt(math.comb(sizes[j], ell) * math.comb(sizes[k], ell))
             mat[j, k] = num / den
-    return EllMatrix(order=ell, matrix=mat, active=active)
+    return EllMatrix(matrix=mat, active=active)
 
 
 @dataclass(frozen=True)
@@ -321,13 +314,14 @@ def _verify_shadow(system: GroupSystem, shadow) -> bool:
     return True
 
 
-def assumption_c_check(system: GroupSystem, *, node_budget: int = 200_000) -> ShadowSystemResult:
+def assumption_c_check(system: GroupSystem) -> ShadowSystemResult:
     """Search for shadow groups with intersections (|G_j n G_k| - 1)_+ and sizes <= |G_j| - 1.
 
     A common element i0 of all groups yields the immediate witness
     G_j \\ {i0}. Otherwise a bounded backtracking search assigns multiplicities
     to the co-membership atoms of a fresh label universe; exhaustion proves
-    infeasibility while hitting the node budget is reported as "unknown".
+    infeasibility while hitting ``SHADOW_NODE_BUDGET`` nodes is reported as
+    "unknown".
     """
     p = system.nvars
     common = frozenset.intersection(*system.groups)
@@ -367,7 +361,7 @@ def assumption_c_check(system: GroupSystem, *, node_budget: int = 200_000) -> Sh
     def search(pos: int, residual: dict, used: list) -> bool:
         nonlocal nodes, budget_hit
         nodes += 1
-        if nodes > node_budget:
+        if nodes > SHADOW_NODE_BUDGET:
             budget_hit = True
             return False
         if all(v == 0 for v in residual.values()):
@@ -477,17 +471,17 @@ def _embed(comp: np.ndarray, axes, m: int, s: int) -> np.ndarray:
     return comp.reshape(shape)
 
 
-def _check_symmetric(arr: np.ndarray, m: int, tol: float) -> None:
+def _check_symmetric(arr: np.ndarray, m: int) -> None:
     # adjacent transpositions generate the full symmetric group
     for i in range(m - 1):
         perm = list(range(m))
         perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        if np.max(np.abs(arr - np.transpose(arr, perm))) > tol:
+        if np.max(np.abs(arr - np.transpose(arr, perm))) > EXACT_TOL:
             raise ValidationError("function table is not permutation symmetric")
 
 
 def hoeffding_decompose(
-    f0, law: DiscreteLaw, *, budget: int = ATOM_BUDGET, tol: float = EXACT_TOL
+    f0, law: DiscreteLaw, *, budget: int = ATOM_BUDGET
 ) -> HoeffdingDecomposition:
     """Decompose a symmetric tabulated function into pure interaction orders.
 
@@ -508,7 +502,7 @@ def hoeffding_decompose(
         )
     if s ** m > budget:
         raise BudgetExceededError(f"enumeration budget exceeded: {s}^{m} atoms")
-    _check_symmetric(arr, m, tol)
+    _check_symmetric(arr, m)
     mass = _product_weights(law.probs, m)
     mean = float(np.sum(mass * arr))
     centered = arr - mean
@@ -687,8 +681,6 @@ class SinConstructionResult:
 
     corr: np.ndarray
     c_t: float
-    t: float
-    method: str = "analytic"
 
 
 def sin_construction_corr(t: float, m, law) -> SinConstructionResult:
@@ -724,7 +716,7 @@ def sin_construction_corr(t: float, m, law) -> SinConstructionResult:
     if np.any(sin2_lo <= 0):
         raise DegenerateInputError("sin transform is degenerate at this t")
     corr = alpha ** (hi - lo) * np.sqrt(sin2_lo / sin2(hi))
-    return SinConstructionResult(corr=corr, c_t=ct, t=t)
+    return SinConstructionResult(corr=corr, c_t=ct)
 
 
 def cauchy_sin_corr_closed_form(t: float, m_small: int, m_large: int) -> float:

@@ -37,17 +37,15 @@ DEFAULT_ORDER = 16
 
 
 def hermite_eval(m: int, x):
-    """Normalized probabilists' Hermite polynomial H_m at x (scalar or array)."""
+    """Normalized probabilists' Hermite polynomial H_m at x (scalar or array).
+
+    Column m of ``hermite_design``; a scalar x gives a float.
+    """
     if m < 0:
         raise ValidationError("Hermite order must be nonnegative")
     x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if m == 0:
-        return prev if prev.ndim else float(prev)
-    cur = x.copy()
-    for k in range(1, m):
-        prev, cur = cur, (x * cur - math.sqrt(k) * prev) / math.sqrt(k + 1)
-    return cur if cur.ndim else float(cur)
+    col = hermite_design(x.ravel(), m)[:, m]
+    return col.reshape(x.shape) if x.ndim else float(col[0])
 
 
 def hermite_design(x, max_order: int) -> np.ndarray:
@@ -103,7 +101,6 @@ class HermiteExpansion:
     coeffs: np.ndarray
     mean: float = 0.0
     tail_mass: float = 0.0
-    index: int | None = None
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))

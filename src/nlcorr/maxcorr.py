@@ -293,7 +293,7 @@ class ExtremeResult:
         }
 
 
-def _unstack(vec, margs, inv_sqrt, bases, offsets, zero_tol=1e-12):
+def _unstack(vec, margs, inv_sqrt, bases, offsets):
     funcs, variances, zero_blocks = [], [], []
     for j, m in enumerate(margs):
         c = vec[offsets[j]:offsets[j + 1]]
@@ -301,7 +301,7 @@ def _unstack(vec, margs, inv_sqrt, bases, offsets, zero_tol=1e-12):
         var = float(c @ c)
         funcs.append(f)
         variances.append(var)
-        if var <= zero_tol:
+        if var <= 1e-12:
             zero_blocks.append(j)
     return tuple(funcs), tuple(variances), tuple(zero_blocks)
 

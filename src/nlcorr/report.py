@@ -26,7 +26,7 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def canonical_json(obj, *, _indent: int = 0) -> str:
+def canonical_json(obj) -> str:
     """Compact JSON with deterministic key order and fixed float formatting."""
     if obj is None:
         return "null"
@@ -52,7 +52,7 @@ def canonical_json(obj, *, _indent: int = 0) -> str:
     raise ValidationError(f"cannot serialize {type(obj).__name__} into a report")
 
 
-def inputs_digest(argv, paths=()) -> str:
+def inputs_digest(argv, paths) -> str:
     """SHA-256 over the argument vector and the bytes of every input file."""
     h = hashlib.sha256()
     for a in argv:
@@ -64,12 +64,13 @@ def inputs_digest(argv, paths=()) -> str:
     return h.hexdigest()
 
 
-def make_report(subcommand: str, digest: str, seed: int, results, tolerances) -> dict:
+def make_report(subcommand: str, digest: str, seed: int | None, results, tolerances) -> dict:
+    """The report object; ``seed`` is None for a run that draws no random numbers."""
     return {
         "version": REPORT_VERSION,
         "subcommand": subcommand,
         "inputs_digest": digest,
-        "seed": int(seed),
+        "seed": None if seed is None else int(seed),
         "results": results,
         "tolerances": tolerances,
     }

@@ -101,7 +101,7 @@ class StationaryKernel:
             object.__setattr__(self, "table", tab)
             if self.decay is None:
                 object.__setattr__(self, "decay", DecayBound(C=0.0, r=0.0))
-            if not self.summable():
+            if not math.isfinite(float(np.sum(np.abs(tab))) + self.tail_bound()):
                 raise ValidationError("kernel is not absolutely summable under its decay bound")
         else:
             raise ValidationError(f"unknown kernel name {self.name!r}")
@@ -126,17 +126,6 @@ class StationaryKernel:
         grid = np.arange(self.table.size, dtype=float)
         return np.where(t <= self.radius, np.interp(t, grid, self.table), 0.0)
 
-    def summable(self) -> bool:
-        if self.name in ("ar1", "ou"):
-            return True
-        head = float(np.sum(np.abs(self.table)))
-        tail = (
-            self.decay.lattice_tail(self.radius)
-            if self.domain == LATTICE
-            else self.decay.line_tail(self.radius)
-        )
-        return math.isfinite(head + tail)
-
     def tail_bound(self) -> float:
         """Certified bound on the spectral-density truncation error."""
         if self.name in ("ar1", "ou"):
@@ -146,9 +135,6 @@ class StationaryKernel:
             if self.domain == LATTICE
             else self.decay.line_tail(self.radius)
         )
-
-    def has_closed_form(self) -> bool:
-        return self.name in ("ar1", "ou")
 
 
 def ar1_kernel(beta: float) -> StationaryKernel:
@@ -282,16 +268,15 @@ def _refine(fun: Callable, x: float, h: float, lo: float, hi: float) -> tuple[fl
         h /= 8.0
 
 
-def spectral_extremes(
-    kernel: StationaryKernel, *, n_points: int = 4001, refine: bool = True
-) -> SpectralExtremes:
+def spectral_extremes(kernel: StationaryKernel, *, n_points: int = 4001) -> SpectralExtremes:
     """Supremum and infimum of |K*(omega)| with attaining frequencies.
 
     Named kernels use their closed forms. Otherwise the density is scanned on
-    a frequency grid (by evenness only omega >= 0 is needed) and the best
-    cells are polished by a zooming grid search. On the line the density
-    vanishes at infinity, so the infimum is 0 whenever the grid never dips to
-    zero, reported as not attained.
+    ``n_points`` frequencies (by evenness only omega >= 0 is needed) and the
+    best cell of each extreme is polished by a zooming grid search
+    (``_refine``) until its window is narrower than 1e-12. On the line the
+    density vanishes at infinity, so the infimum is 0 whenever the grid never
+    dips to zero, reported as not attained.
     """
     if n_points < 2:
         raise ValidationError(f"n_points must be at least 2, got {n_points}")
@@ -330,12 +315,9 @@ def spectral_extremes(
     def pos_abs(w):
         return np.abs(spectral_density(kernel, w))
 
-    arg_sup, sup = grid[i_max], absd[i_max]
-    arg_inf, inf = grid[i_min], absd[i_min]
-    if refine:
-        x, v = _refine(neg_abs, arg_sup, step, 0.0, w_hi)
-        arg_sup, sup = x, -v
-        arg_inf, inf = _refine(pos_abs, arg_inf, step, 0.0, w_hi)
+    arg_sup, neg_sup = _refine(neg_abs, grid[i_max], step, 0.0, w_hi)
+    sup = -neg_sup
+    arg_inf, inf = _refine(pos_abs, grid[i_min], step, 0.0, w_hi)
 
     tol = kernel.tail_bound()
     sign_change = bool(dens.min() < -tol and dens.max() > tol)

@@ -24,7 +24,7 @@ from nlcorr.additive import (
     _probit_uniform,
     _var_with_se,
     quantile_standardize,
-    sample_latent,
+    resolve_transform,
 )
 from nlcorr.hermite import HermiteExpansion
 
@@ -86,9 +86,22 @@ class TestSampleDesign:
         np.testing.assert_array_equal(sample_design(design), sample_design(design))
 
     def test_latent_matches_design_draws(self):
-        design = CopulaDesign(sigma_z=_equicorr(2, 0.3), transforms=("identity",) * 2,
+        # every transform reads the latent table of the identity design
+        latent = sample_design(CopulaDesign(sigma_z=_equicorr(2, 0.3),
+                                            transforms=("identity",) * 2, n=50, seed=7))
+        design = CopulaDesign(sigma_z=_equicorr(2, 0.3), transforms=("identity", "exp"),
                               n=50, seed=7)
-        np.testing.assert_array_equal(sample_latent(design), sample_design(design))
+        x = sample_design(design)
+        np.testing.assert_array_equal(x[:, 0], latent[:, 0])
+        np.testing.assert_array_equal(x[:, 1], np.exp(latent[:, 1]))
+
+    def test_tabulated_transform(self):
+        f = resolve_transform(([-1.0, 0.0, 2.0], [0.0, 1.0, 5.0]))
+        np.testing.assert_array_equal(f(np.array([-3.0, -0.5, 1.0, 9.0])),
+                                      [0.0, 0.5, 3.0, 5.0])
+        with pytest.raises(ValidationError):  # x decreasing
+            CopulaDesign(sigma_z=np.eye(2), transforms=(([1.0, 0.0], [0.0, 1.0]), "identity"),
+                         n=5)
 
     def test_singular_latent_matrix_still_samples(self):
         # comonotone latent coordinates: PSD but rank one
@@ -160,7 +173,9 @@ class TestNormalCdf:
 
         design = CopulaDesign(sigma_z=_equicorr(3, 0.6), transforms=("probit_uniform",) * 3,
                               n=50_000, seed=5)
-        assert _ulps(sample_design(design), ndtr(sample_latent(design))).max() <= 4
+        latent = sample_design(CopulaDesign(sigma_z=design.sigma_z,
+                                            transforms=("identity",) * 3, n=50_000, seed=5))
+        assert _ulps(sample_design(design), ndtr(latent)).max() <= 4
 
 
 class TestQuantileStandardize:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -28,7 +29,7 @@ class TestReports:
         assert code == 0
         assert set(report) == REPORT_KEYS
         assert report["subcommand"] == "nested"
-        assert report["seed"] == cli.DEFAULT_SEED
+        assert report["seed"] is None  # nested draws no random numbers
 
         code2 = cli.run(argv)
         out2 = capsys.readouterr().out
@@ -111,7 +112,7 @@ class TestSubcommands:
         header = "x1,x2\n"
         path.write_text(header + "\n".join(f"{a},{b}" for a, b in data))
         code, report = run_json(
-            capsys, ["ace", "--input", str(path), "--bins", "6", "--seed", "3"]
+            capsys, ["ace", "--input", str(path), "--bins", "6"]
         )
         assert code == 0
         assert report["results"]["converged"] is True
@@ -141,7 +142,7 @@ class TestSubcommands:
             capsys, ["sinlimit", "--law", "cauchy", "--m", "1,2,3", "--t", "0.001"]
         )
         assert code == 0
-        assert report["results"]["method"] == "analytic"
+        assert "method" not in report["results"]
         assert report["results"]["max_abs_gap"] <= 1e-3
 
     def test_sinlimit_exact_past_enumeration(self, capsys):
@@ -151,7 +152,6 @@ class TestSubcommands:
         )
         assert code == 0
         res = report["results"]
-        assert res["method"] == "analytic"
         assert "std_error" not in res
         # Rademacher: alpha = cos t and E sin^2 S'_k = (1 - cos^k 2t)/2
         c, c2 = np.cos(t), np.cos(2 * t)
@@ -237,6 +237,11 @@ class TestSubcommands:
         res = report["results"]
         assert res["within_cap"] is True
         assert res["lambda_max"][0] > res["lambda_max"][1] > res["lambda_max"][2]
+        assert "richardson" not in res
+        # 4 / j_{0,1}^2, with j_{0,1} the first zero of J_0
+        assert res["continuum"] == 0.6916602761225796
+        assert res["gap"] == [e - res["continuum"] for e in res["lambda_max"]]
+        assert 1.6e-4 < res["gap"][0] < 1.7e-4 and 1.0e-5 < res["gap"][2] < 1.1e-5
         assert curve.exists()
 
     def test_copula_check(self, capsys, tmp_path):
@@ -251,6 +256,7 @@ class TestSubcommands:
              "--active", "0", "--ndirs", "60"],
         )
         assert code == 0
+        assert report["seed"] == cli.DEFAULT_SEED
         res = report["results"]
         assert res["kappa0"] == pytest.approx(0.5, abs=1e-12)
         assert res["clears_kappa0_at_3se"] is True
@@ -267,11 +273,40 @@ class TestSubcommands:
         assert report["results"]["verdict"] == "holds"
 
 
+# every option of every subcommand; a flag added or put back must be added here
+SUBCOMMAND_OPTIONS = {
+    "eig": {"--input", "--out"},
+    "schur-check": {"--input", "--power", "--tol", "--weights", "--out"},
+    "hermite": {"--fn", "--order", "--nodes", "--out"},
+    "oracle": {"--joint", "--weights", "--out"},
+    "ace": {"--input", "--bins", "--weights", "--out"},
+    "nested": {"--m", "--weights", "--out"},
+    "groups": {"--input", "--weights", "--out"},
+    "hoeffding": {"--input", "--out"},
+    "sinlimit": {"--law", "--m", "--t", "--curve", "--out"},
+    "stationary": {"--name", "--beta", "--input", "--crosscheck", "--curve", "--out"},
+    "kernel": {"--n", "--curve", "--out"},
+    "copula-check": {"--input", "--basis", "--basis-size", "--q", "--xi0", "--active",
+                     "--ndirs", "--seed", "--out"},
+    "sandwich": {"--input", "--nmc", "--seed", "--out"},
+}
+
+
+def test_subcommand_options_pinned():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: {opt for action in p._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert options == SUBCOMMAND_OPTIONS
+
+
 class TestErrorPaths:
     def test_unknown_subcommand_usage_error(self, capsys):
         assert cli.run(["frobnicate"]) == 2
 
-    @pytest.mark.parametrize("flag", [["--threads", "2"], ["--tol", "1e-3"]])
+    @pytest.mark.parametrize("flag", [["--threads", "2"], ["--tol", "1e-3"], ["--seed", "3"]])
     def test_removed_flags_usage_error(self, capsys, flag):
         assert cli.run(["nested", "--m", "1,2", *flag]) == 2
 

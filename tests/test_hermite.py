@@ -39,6 +39,8 @@ class TestHermiteEval:
 
     def test_second_root_at_one(self):
         assert hermite_eval(2, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert isinstance(hermite_eval(2, 1.0), float)
+        assert isinstance(hermite_eval(0, 1.0), float)
 
     def test_third_root_at_sqrt3(self):
         assert hermite_eval(3, math.sqrt(3.0)) == pytest.approx(0.0, abs=1e-14)

@@ -211,6 +211,15 @@ class TestNystrom:
         limit = 4.0 / jn_zeros(0, 1)[0] ** 2
         assert brownian_lambda_max(10 ** 5) == pytest.approx(limit, abs=1e-10)
 
+    def test_j01_is_the_first_zero_of_j0(self):
+        mpmath = pytest.importorskip("mpmath")
+        from scipy.special import jn_zeros
+
+        assert spectra.J01 == float(mpmath.besseljzero(0, 1))
+        # scipy's root lies one ulp below the correctly rounded one
+        scipy_root = float(jn_zeros(0, 1)[0])
+        assert abs(spectra.J01 - scipy_root) <= np.spacing(spectra.J01)
+
     def test_brownian_lambda_max_repeatable_and_validated(self):
         assert brownian_lambda_max(777) == brownian_lambda_max(777)
         with pytest.raises(ValidationError):
@@ -231,12 +240,6 @@ class TestNystrom:
                        values=np.array([[1.0]]))
         with pytest.raises(ValidationError):
             KernelGrid.from_kernel(lambda s, t: s - t, 8)  # asymmetric
-
-    def test_richardson_limit_quadratic(self):
-        # v(n) = L + c/n^2 is recovered exactly from three refinement levels
-        exact = 0.7
-        vals = [exact + 1.0 / n ** 2 for n in (100, 200, 400)]
-        assert spectra.richardson_limit(vals) == pytest.approx(exact, abs=1e-12)
 
 
 class TestMatrixIO:
