@@ -94,8 +94,8 @@ def _cmd_eig(args):
 def _cmd_schur_check(args):
     sigma = spectra.load_matrix(args.input)
     w, w_paths = _weights(args, sigma.shape[0])
-    cert = spectra.schur_power_contraction_check(sigma, w, args.power, tol=args.tol)
-    return cert.as_dict(), {"containment": args.tol}, [args.input] + w_paths
+    cert = spectra.schur_power_contraction_check(sigma, w, args.power)
+    return cert.as_dict(), {"containment": spectra.CONTRACTION_TOL}, [args.input] + w_paths
 
 
 def _cmd_hermite(args):
@@ -362,8 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schur-check", help="Schur-power contraction certificate")
     p.add_argument("--input", required=True, help="correlation matrix file")
     p.add_argument("--power", type=int, required=True)
-    p.add_argument("--tol", type=float, default=spectra.CONTRACTION_TOL,
-                   help="slack of the spectral containment")
     common(p, weights=True)
 
     p = sub.add_parser("hermite", help="Hermite expansion of a catalog function")

@@ -11,6 +11,13 @@ one iid sequence:
   eigenvalue of R o W; the minimum is the smallest eigenvalue of
   (R^(l) o W)_{J^(l)} minimized over l, collapsing to l = 1 whenever a shadow
   system per the combinatorial feasibility condition exists,
+- the shadow-system search: a common label answers at once; otherwise a
+  depth-first search on an explicit stack gives each fresh label to the
+  first pair of groups, in lexicographic order, still short of its target,
+  together with a clique of later groups whose pairs are still short, the
+  labels of one pair in nonincreasing order of holders. It answers
+  "feasible" with a verified witness, "infeasible" when the stack empties,
+  or "unknown" after ``SHADOW_NODE_BUDGET`` steps,
 - the Hoeffding decomposition of a symmetric tabulated function into pure
   interaction orders, with its reconstruction, conditional-mean-zero, and
   variance identities,
@@ -43,7 +50,7 @@ from .spectra import as_corr_matrix, as_weight_matrix, full_spectrum
 
 ATOM_BUDGET = 10 ** 6
 EXACT_TOL = 1e-12
-# search nodes the shadow-system backtracking visits before it answers "unknown"
+# steps off the shadow-system search stack before it answers "unknown"
 SHADOW_NODE_BUDGET = 200_000
 
 
@@ -229,9 +236,10 @@ def group_matrix(system: GroupSystem, ell: int) -> EllMatrix:
     mat = np.zeros((p, p))
     for j in active:
         for k in active:
+            # exact integers up to one correctly rounded division: the
+            # product of the two combs can pass the float range
             num = math.comb(int(inter[j, k]), ell)
-            den = math.sqrt(math.comb(sizes[j], ell) * math.comb(sizes[k], ell))
-            mat[j, k] = num / den
+            mat[j, k] = math.sqrt(num * num / (math.comb(sizes[j], ell) * math.comb(sizes[k], ell)))
     return EllMatrix(matrix=mat, active=active)
 
 
@@ -318,10 +326,15 @@ def assumption_c_check(system: GroupSystem) -> ShadowSystemResult:
     """Search for shadow groups with intersections (|G_j n G_k| - 1)_+ and sizes <= |G_j| - 1.
 
     A common element i0 of all groups yields the immediate witness
-    G_j \\ {i0}. Otherwise a bounded backtracking search assigns multiplicities
-    to the co-membership atoms of a fresh label universe; exhaustion proves
-    infeasibility while hitting ``SHADOW_NODE_BUDGET`` nodes is reported as
-    "unknown".
+    G_j \\ {i0}. Otherwise a depth-first search on an explicit stack adds
+    fresh labels, each held by at least two shadows. A label goes to the first
+    pair (j, k) still short of its target; its holders are j, k and a clique,
+    among the groups after k, of still-short pairs, grown one group at a time.
+    The labels of one pair come in nonincreasing order of holder tuple, so
+    each multiset is visited once, and a state where a pair lacks more labels
+    than a holder has room for is cut. The status is "feasible" with a witness
+    that ``_verify_shadow`` accepts, "infeasible" when the stack empties, or
+    "unknown" when ``SHADOW_NODE_BUDGET`` steps off the stack run out first.
     """
     p = system.nvars
     common = frozenset.intersection(*system.groups)
@@ -333,86 +346,53 @@ def assumption_c_check(system: GroupSystem) -> ShadowSystemResult:
         return ShadowSystemResult(status="feasible", witness=witness)
 
     inter = system.intersection_sizes()
-    targets = {
-        (j, k): max(int(inter[j, k]) - 1, 0)
-        for j in range(p)
-        for k in range(j + 1, p)
-    }
-    caps = [len(g) - 1 for g in system.groups]
-
-    # atoms: for each subset S of groups (|S| >= 2), the number of fresh labels
-    # shared by exactly the shadows in S; singleton labels never affect targets
-    subsets = [
-        s
-        for r in range(p, 1, -1)
-        for s in itertools.combinations(range(p), r)
-    ]
-    last_cover = {}
-    for pos, s in enumerate(subsets):
-        for j, k in itertools.combinations(s, 2):
-            last_cover[(j, k)] = pos
-    counts = {}
+    # res[j][k]: labels the pair (j, k) still lacks; room[j]: labels shadow j can still take
+    res = [[max(int(inter[j, k]) - 1, 0) if j != k else 0 for k in range(p)] for j in range(p)]
+    room = [len(g) - 1 for g in system.groups]
+    # an entry commits the label ``holders`` on top of ``labels``, a linked list
+    # of (holders, rest), or grows it by one of ``cands``; the root commits none
+    stack = [(res, room, None, (), [])]
     nodes = 0
-    budget_hit = False
-
-    def remaining_possible(pos: int, j: int, k: int) -> bool:
-        return last_cover.get((j, k), -1) >= pos
-
-    def search(pos: int, residual: dict, used: list) -> bool:
-        nonlocal nodes, budget_hit
+    while stack:
         nodes += 1
         if nodes > SHADOW_NODE_BUDGET:
-            budget_hit = True
-            return False
-        if all(v == 0 for v in residual.values()):
-            return True
-        if pos == len(subsets):
-            return False
-        # prune: a still-positive pair must be coverable by a later subset
-        for (j, k), v in residual.items():
-            if v > 0 and not remaining_possible(pos, j, k):
-                return False
-        s = subsets[pos]
-        pair_cap = min(
-            (residual[(j, k)] for j, k in itertools.combinations(sorted(s), 2)),
-            default=0,
-        )
-        size_cap = min(caps[j] - used[j] for j in s)
-        upper = min(pair_cap, size_cap)
-        for x in range(upper, -1, -1):
-            if x:
-                for j, k in itertools.combinations(sorted(s), 2):
-                    residual[(j, k)] -= x
-                for j in s:
-                    used[j] += x
-            counts[s] = x
-            if search(pos + 1, residual, used):
-                return True
-            if budget_hit:
-                break
-            if x:
-                for j, k in itertools.combinations(sorted(s), 2):
-                    residual[(j, k)] += x
-                for j in s:
-                    used[j] -= x
-        counts.pop(s, None)
-        return False
+            return ShadowSystemResult(status="unknown")
+        res, room, labels, holders, cands = stack.pop()
+        last = labels[0] if labels and labels[0][:2] == holders[:2] else None
+        for n, i in enumerate(cands):
+            grown = holders + (i,)
+            if last is None or grown <= last:
+                stack.append((res, room, labels, grown, [x for x in cands[n + 1:] if res[i][x]]))
+        res, room = list(res), list(room)
+        for j in holders:
+            room[j] -= 1
+            row = res[j] = res[j][:]
+            for k in holders:
+                row[k] -= k != j
+        if any(max(res[j]) > room[j] for j in holders):
+            continue
+        if holders:
+            labels = (holders, labels)
+        pair = next(((j, k) for j in range(holders[0] if holders else 0, p)
+                     for k in range(j + 1, p) if res[j][k]), None)
+        if pair is None:
+            break
+        j, k = pair
+        cands = [i for i in range(k + 1, p) if res[j][i] and res[k][i]]
+        stack.append((res, room, labels, pair, cands))
+    else:
+        return ShadowSystemResult(status="infeasible")
 
-    found = search(0, dict(targets), [0] * p)
-    if not found:
-        return ShadowSystemResult(status="unknown" if budget_hit else "infeasible")
-
-    # materialize fresh labels per atom, then verify exactly
     shadow = [set() for _ in range(p)]
     label = max(system.universe) + 1
-    for s, x in counts.items():
-        for _ in range(x):
-            for j in s:
-                shadow[j].add(label)
-            label += 1
+    while labels:
+        holders, labels = labels
+        for j in holders:
+            shadow[j].add(label)
+        label += 1
     witness = tuple(frozenset(s) for s in shadow)
     if not _verify_shadow(system, witness):
-        raise AssertionError("backtracking produced an invalid witness")
+        raise AssertionError("shadow search produced an invalid witness")
     return ShadowSystemResult(status="feasible", witness=witness)
 
 
@@ -480,9 +460,7 @@ def _check_symmetric(arr: np.ndarray, m: int) -> None:
             raise ValidationError("function table is not permutation symmetric")
 
 
-def hoeffding_decompose(
-    f0, law: DiscreteLaw, *, budget: int = ATOM_BUDGET
-) -> HoeffdingDecomposition:
+def hoeffding_decompose(f0, law: DiscreteLaw) -> HoeffdingDecomposition:
     """Decompose a symmetric tabulated function into pure interaction orders.
 
     ``f0`` is an array of shape (s, ..., s) with one axis per argument. The
@@ -500,7 +478,7 @@ def hoeffding_decompose(
         raise ValidationError(
             f"function table shape {arr.shape} does not match support size {s}"
         )
-    if s ** m > budget:
+    if s ** m > ATOM_BUDGET:
         raise BudgetExceededError(f"enumeration budget exceeded: {s}^{m} atoms")
     _check_symmetric(arr, m)
     mass = _product_weights(law.probs, m)
@@ -527,8 +505,8 @@ def hoeffding_decompose(
 # A block sum splits into independent sums over Venn cells, the sets of
 # labels that belong to exactly the same groups, so the joint law needs only
 # the convolution powers of the law, one per cell size (Dembo, Kagan & Shepp
-# 2001 use the same split for nested partial sums). ``budget`` bounds the
-# number of atoms actually built: the product of the cells' support sizes.
+# 2001 use the same split for nested partial sums). ``ATOM_BUDGET`` bounds
+# the number of atoms actually built: the product of the cells' support sizes.
 # ---------------------------------------------------------------------------
 
 
@@ -546,11 +524,11 @@ def _merge_rounded_sums(sums: np.ndarray, n_terms: int, scale: float) -> tuple[n
     return vals[first], (np.cumsum(first) - 1)[inv]
 
 
-def _sum_laws(law: DiscreteLaw, lengths, budget: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+def _sum_laws(law: DiscreteLaw, lengths) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Support and pmf of Y_1 + ... + Y_n for each n in ``lengths``.
 
     Convolution powers by repeated convolution with the law, rounding splits
-    merged after every step. A power with more than ``budget`` support points
+    merged after every step. A power with more than ``ATOM_BUDGET`` support points
     raises, since every later power is at least as large.
     """
     scale = float(np.abs(law.values).max())
@@ -560,35 +538,35 @@ def _sum_laws(law: DiscreteLaw, lengths, budget: int) -> dict[int, tuple[np.ndar
         if n > 1:
             vals, lab = _merge_rounded_sums((vals[:, None] + law.values).ravel(), n, scale)
             probs = np.bincount(lab, weights=np.outer(probs, law.probs).ravel(), minlength=vals.size)
-            if vals.size > budget:
+            if vals.size > ATOM_BUDGET:
                 raise BudgetExceededError(
                     f"enumeration budget exceeded: a {n}-term sum has {vals.size} support "
-                    f"points, over the budget of {budget} cell-support product atoms"
+                    f"points, over the budget of {ATOM_BUDGET} cell-support product atoms"
                 )
         if n in lengths:
             out[n] = (vals, probs)
     return out
 
 
-def group_sums_joint(system: GroupSystem, law: DiscreteLaw, *, budget: int = ATOM_BUDGET) -> DiscreteJoint:
+def group_sums_joint(system: GroupSystem, law: DiscreteLaw) -> DiscreteJoint:
     """Exact joint law of the block sums sum_{i in G_j} Y_i from Venn-cell sums.
 
     Labels in exactly the same groups form one Venn cell; the cell sums are
     independent, each with the convolution power of the law for its size, and
     every block sum is the sum of its cells' sums (for nested sums the cells
     are the independent increments). The atoms are the product of the cells'
-    supports, at most ``budget`` of them, each with the product of its cells'
+    supports, at most ``ATOM_BUDGET`` of them, each with the product of its cells'
     masses.
     """
     cells: dict[tuple[bool, ...], int] = {}
     for lab in system.universe:
         key = tuple(lab in g for g in system.groups)
         cells[key] = cells.get(key, 0) + 1
-    laws = _sum_laws(law, set(cells.values()), budget)
+    laws = _sum_laws(law, set(cells.values()))
     cell_laws = [laws[n] for n in cells.values()]
     shape = tuple(vals.size for vals, _ in cell_laws)
     count = math.prod(shape)
-    if count > budget:
+    if count > ATOM_BUDGET:
         raise BudgetExceededError(
             f"enumeration budget exceeded: {count} cell-support product atoms "
             f"over {len(shape)} Venn cells"
@@ -631,13 +609,13 @@ def group_sums_joint(system: GroupSystem, law: DiscreteLaw, *, budget: int = ATO
     return DiscreteJoint.from_atoms(supports, idx, mass)
 
 
-def nested_sums_joint(m, law: DiscreteLaw, *, budget: int = ATOM_BUDGET) -> DiscreteJoint:
+def nested_sums_joint(m, law: DiscreteLaw) -> DiscreteJoint:
     """Exact joint law of the nested partial sums S_{m_1}, ..., S_{m_p}."""
     mv = [int(x) for x in m]
     if any(x < 1 for x in mv):
         raise ValidationError("sum lengths must be positive")
     system = GroupSystem.from_lists([range(1, x + 1) for x in mv])
-    return group_sums_joint(system, law, budget=budget)
+    return group_sums_joint(system, law)
 
 
 # ---------------------------------------------------------------------------

@@ -153,13 +153,11 @@ class ContractionCertificate:
         }
 
 
-def schur_power_contraction_check(
-    sigma, w, m: int, *, tol: float = CONTRACTION_TOL
-) -> ContractionCertificate:
+def schur_power_contraction_check(sigma, w, m: int) -> ContractionCertificate:
     """Certify spectrum(S^(m) o W) inside [lambda_min(S o W), lambda_max(S o W)].
 
     S^(m) denotes the elementwise m-th power. The certificate holds when the
-    inner spectrum stays inside the outer interval padded by ``tol``.
+    inner spectrum stays inside the outer interval padded by ``CONTRACTION_TOL``.
     """
     s = as_corr_matrix(sigma)
     ww = as_weight_matrix(w)
@@ -173,7 +171,7 @@ def schur_power_contraction_check(
     inner = full_spectrum((s ** m) * ww)
     margin = float(min(inner[0] - lo, hi - inner[-1]))
     return ContractionCertificate(
-        holds=bool(margin >= -tol),
+        holds=bool(margin >= -CONTRACTION_TOL),
         margin=margin,
         inner=tuple(float(x) for x in inner),
         outer=(lo, hi),

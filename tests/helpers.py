@@ -57,6 +57,32 @@ def random_group_system(rng, *, p: int, universe: int, common: bool) -> GroupSys
     return GroupSystem.from_lists(groups)
 
 
+def brute_force_shadow_status(system: GroupSystem) -> str | None:
+    """"feasible" or "infeasible" by trying every multiplicity of every holder set.
+
+    A shadow label matters only through the set of shadows holding it, and one
+    held by a single shadow meets no target, so a shadow system is a count for
+    each subset of at least two groups, at most the smallest target among its
+    pairs. Tries all such counts at once, or returns None when there are more
+    than 200000 of them.
+    """
+    p = system.nvars
+    inter = system.intersection_sizes()
+    pairs = list(itertools.combinations(range(p), 2))
+    target = np.array([max(int(inter[pair]) - 1, 0) for pair in pairs])
+    caps = np.array([len(g) - 1 for g in system.groups])
+    subsets = [s for r in range(2, p + 1) for s in itertools.combinations(range(p), r)]
+    shape = [1 + min(target[pairs.index(pair)] for pair in itertools.combinations(s, 2))
+             for s in subsets]
+    if math.prod(shape) > 200_000:
+        return None
+    counts = np.indices(shape, dtype=np.int16).reshape(len(subsets), -1).T
+    covers = np.array([[set(pair) <= set(s) for pair in pairs] for s in subsets], dtype=np.int16)
+    holds = np.array([[j in s for j in range(p)] for s in subsets], dtype=np.int16)
+    ok = np.all(counts @ covers == target, axis=1) & np.all(counts @ holds <= caps, axis=1)
+    return "feasible" if ok.any() else "infeasible"
+
+
 def random_sorted_m(rng, *, p: int, universe: int) -> list[int]:
     m = np.sort(rng.integers(1, universe + 1, size=p))
     return [int(x) for x in m]

@@ -10,7 +10,8 @@ import pytest
 
 import nlcorr
 from nlcorr import DiscreteLaw, nested_sums_joint
-from nlcorr import cli
+from nlcorr import cli, spectra
+from nlcorr.groups import GroupSystem, _verify_shadow
 from nlcorr.report import canonical_json
 
 REPORT_KEYS = {"version", "subcommand", "inputs_digest", "seed", "results", "tolerances"}
@@ -72,11 +73,7 @@ class TestSubcommands:
         )
         assert code == 0
         assert report["results"]["holds"] is True
-        code, report = run_json(
-            capsys, ["schur-check", "--input", str(path), "--power", "3", "--tol", "1e-6"]
-        )
-        assert code == 0
-        assert report["tolerances"]["containment"] == 1e-6
+        assert report["tolerances"]["containment"] == spectra.CONTRACTION_TOL
 
     def test_hermite(self, capsys):
         code, report = run_json(
@@ -276,7 +273,7 @@ class TestSubcommands:
 # every option of every subcommand; a flag added or put back must be added here
 SUBCOMMAND_OPTIONS = {
     "eig": {"--input", "--out"},
-    "schur-check": {"--input", "--power", "--tol", "--weights", "--out"},
+    "schur-check": {"--input", "--power", "--weights", "--out"},
     "hermite": {"--fn", "--order", "--nodes", "--out"},
     "oracle": {"--joint", "--weights", "--out"},
     "ace": {"--input", "--bins", "--weights", "--out"},
@@ -309,23 +306,24 @@ class TestErrorPaths:
     @pytest.mark.parametrize("flag", [["--threads", "2"], ["--tol", "1e-3"], ["--seed", "3"]])
     def test_removed_flags_usage_error(self, capsys, flag):
         assert cli.run(["nested", "--m", "1,2", *flag]) == 2
+        assert cli.run(["schur-check", "--input", "s.csv", "--power", "2", *flag]) == 2
 
     def test_sinlimit_method_flag_removed(self, capsys):
         assert cli.run(["sinlimit", "--m", "1,2", "--t", "0.1", "--method", "mc"]) == 2
 
     @pytest.mark.parametrize(
-        "groups, error",
+        "groups, rho_min",
         [
-            # math.comb(1200, l) products past the float range in group_matrix
-            ([list(range(1, 1201)), list(range(600, 1801))], "OverflowError"),
-            # ten groups with no common label: the shadow search recurses once
-            # per subset of groups, past the default recursion limit
-            ([[4, 6], [2, 6, 7, 8, 11, 12], [5, 7, 8], [1, 2, 4, 6, 7, 8], [9, 10],
-              [1, 3, 5, 9, 11, 12], [2, 3, 4, 5, 6, 8, 9], [1, 3], [1, 2, 6, 11, 12],
-              [5, 8, 10, 11, 12]], "RecursionError"),
+            # math.comb(1200, l) products pass the float range; 601 shared labels
+            pytest.param([list(range(1, 1201)), list(range(600, 1801))],
+                         1 - 601 / (1200 * 1201) ** 0.5, id="1200-labels"),
+            # ten groups with no common label, so the search runs past the shortcut
+            pytest.param([[4, 6], [2, 6, 7, 8, 11, 12], [5, 7, 8], [1, 2, 4, 6, 7, 8], [9, 10],
+                          [1, 3, 5, 9, 11, 12], [2, 3, 4, 5, 6, 8, 9], [1, 3], [1, 2, 6, 11, 12],
+                          [5, 8, 10, 11, 12]], None, id="ten-groups"),
         ],
     )
-    def test_valid_groups_past_a_limit_give_no_traceback(self, tmp_path, groups, error):
+    def test_valid_groups_past_former_limits_give_reports(self, tmp_path, groups, rho_min):
         path = tmp_path / "groups.json"
         path.write_text(json.dumps({"groups": groups}))
         src = str(Path(nlcorr.__file__).resolve().parents[1])
@@ -335,9 +333,16 @@ class TestErrorPaths:
             [sys.executable, "-m", "nlcorr.cli", "groups", "--input", str(path)],
             capture_output=True, text=True, env=env, timeout=120,
         )
-        assert proc.returncode == 1
+        assert proc.returncode == 0
         assert proc.stderr == ""
-        assert json.loads(proc.stdout)["error"]["type"] == error
+        res = json.loads(proc.stdout)["results"]
+        assert res["extremes"]["argmin_ell"] == 1
+        if rho_min is not None:
+            assert res["extremes"]["rho_min"] == pytest.approx(rho_min, abs=1e-12)
+        shadow = res["shadow_system"]
+        assert shadow["status"] == "feasible"
+        witness = tuple(frozenset(s) for s in shadow["witness"])
+        assert _verify_shadow(GroupSystem.from_lists(groups), witness)
 
     @pytest.mark.parametrize("subcommand", ["stationary", "groups"])
     def test_non_object_json_input(self, capsys, tmp_path, subcommand):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    brute_force_shadow_status,
     enumerated_group_sums_joint,
     group_cross_cov,
     product_basis,
@@ -34,8 +36,8 @@ from nlcorr import (
     sin_construction_corr,
     solve_ct,
 )
-from nlcorr import spectra
-from nlcorr.groups import cauchy_sin_corr_closed_form, _product_weights
+from nlcorr import groups, spectra
+from nlcorr.groups import cauchy_sin_corr_closed_form, _product_weights, _verify_shadow
 
 RADEMACHER = DiscreteLaw.rademacher()
 SQRT_HALF = math.sqrt(0.5)
@@ -334,25 +336,29 @@ class TestGroupSumsJoint:
         assert res.rho_max == pytest.approx(hi, abs=1e-9)
         assert res.rho_min == pytest.approx(lo, abs=1e-9)
 
-    def test_budget_counts_cell_product_atoms(self):
+    def test_budget_counts_cell_product_atoms(self, monkeypatch):
         # three cells of 300 labels: 301^3 product atoms
         with pytest.raises(BudgetExceededError, match="27270901 cell-support product atoms"):
             nested_sums_joint((300, 600, 900), RADEMACHER)
         # cells of 2, 5 and 5 labels: 3 * 6 * 6 = 108 product atoms
-        assert nested_sums_joint((2, 7, 12), RADEMACHER, budget=108).sizes == (3, 8, 13)
+        monkeypatch.setattr(groups, "ATOM_BUDGET", 108)
+        assert nested_sums_joint((2, 7, 12), RADEMACHER).sizes == (3, 8, 13)
+        monkeypatch.setattr(groups, "ATOM_BUDGET", 107)
         with pytest.raises(BudgetExceededError, match="108 cell-support product atoms"):
-            nested_sums_joint((2, 7, 12), RADEMACHER, budget=107)
+            nested_sums_joint((2, 7, 12), RADEMACHER)
         # a single cell whose sum alone has too many support points
+        monkeypatch.setattr(groups, "ATOM_BUDGET", 20)
         with pytest.raises(BudgetExceededError, match="support points"):
-            nested_sums_joint((50,), RADEMACHER, budget=20)
+            nested_sums_joint((50,), RADEMACHER)
 
-    def test_non_lattice_sums_merge_at_every_length(self):
+    def test_non_lattice_sums_merge_at_every_length(self, monkeypatch):
         # each convolution power and each block sum merges rounding splits:
         # a + b sqrt 2 with a + b <= m gives (m+1)(m+2)/2 support points
         joint = nested_sums_joint((5, 12, 20), LAWS["sqrt2"])
         assert joint.sizes == (21, 91, 231)
         # cells of 5, 7 and 8 labels: 21 * 36 * 45 product atoms, no more
-        nested_sums_joint((5, 12, 20), LAWS["sqrt2"], budget=21 * 36 * 45)
+        monkeypatch.setattr(groups, "ATOM_BUDGET", 21 * 36 * 45)
+        nested_sums_joint((5, 12, 20), LAWS["sqrt2"])
         res = exact_extremes(joint, np.ones((3, 3)))
         lo, hi = spectra.extreme_eigs(nested_sum_matrix((5, 12, 20)))
         assert res.rho_max == pytest.approx(hi, abs=1e-12)
@@ -417,6 +423,36 @@ class TestShadowSystem:
         symm = extreme_symm(system, np.ones((5, 5)))
         assert symm.argmin_ell == 1
         assert symm.rho_min == pytest.approx(0.0, abs=1e-12)
+
+    def test_statuses_match_a_brute_force_reference(self, rng):
+        # five groups over four or five labels: few enough holder-set counts
+        # to enumerate, and tight enough that some systems are infeasible
+        seen = {"feasible": 0, "infeasible": 0}
+        while sum(seen.values()) < 240:
+            system = random_group_system(
+                rng, p=5, universe=int(rng.integers(4, 6)), common=sum(seen.values()) % 4 == 0
+            )
+            expected = brute_force_shadow_status(system)
+            if expected is None:
+                continue
+            res = assumption_c_check(system)
+            assert res.status == expected, system.groups
+            if res.feasible:
+                assert _verify_shadow(system, res.witness)
+            else:
+                assert res.witness is None
+            seen[expected] += 1
+        assert seen["infeasible"] >= 5
+
+    def test_thirty_groups_without_a_common_label_stop_at_the_budget(self, monkeypatch):
+        system = random_group_system(np.random.default_rng(3), p=30, universe=40, common=False)
+        assert not frozenset.intersection(*system.groups)
+        monkeypatch.setattr(groups, "SHADOW_NODE_BUDGET", 2000)
+        started = time.perf_counter()
+        res = assumption_c_check(system)
+        assert time.perf_counter() - started < 0.5
+        assert res.status == "unknown"
+        assert res.witness is None
 
 
 class TestHoeffding:
@@ -486,10 +522,11 @@ class TestHoeffding:
         with pytest.raises(ValidationError):
             hoeffding_decompose(f0, RADEMACHER)
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
         law = DiscreteLaw(values=np.arange(4.0), probs=np.full(4, 0.25))
+        monkeypatch.setattr(groups, "ATOM_BUDGET", 10 ** 5)
         with pytest.raises(BudgetExceededError):
-            hoeffding_decompose(np.zeros((4,) * 12), law, budget=10 ** 5)
+            hoeffding_decompose(np.zeros((4,) * 12), law)
 
 
 class TestProductBasis:
